@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import LEG, Tangle, slot_edge_map
+from .diagram import LEG, Endpoint, Tangle
 
 __all__ = ["ContractionStep", "ContractionPlan", "plan_contraction", "execute_plan"]
 
@@ -53,23 +53,16 @@ def _initial_nodes(t: Tangle) -> dict[tuple, list[int]]:
     Vertex nodes are ("v", index); identity nodes for leg-to-leg edges are
     ("m", edge index).
     """
-    edge_index = {e: i for i, e in enumerate(sorted(t.edges))}
-    slot_edge = slot_edge_map(t)
-    nodes: dict[tuple, list[int]] = {}
-    for v in range(t.num_vertices):
-        ids = []
-        for s in range(4):
-            edge = slot_edge[(v, s)]
-            other = edge[0] if edge[1] == (v, s) else edge[1]
-            if other[0] == LEG:
-                ids.append(-other[1])
-            else:
-                ids.append(edge_index[edge])
-        nodes[("v", v)] = ids
-    for edge, idx in sorted(edge_index.items(), key=lambda kv: kv[1]):
-        (va, la), (vb, lb) = edge
+    axis: dict[Endpoint, int] = {}
+    legs: dict[tuple, list[int]] = {}
+    for idx, ((va, la), (vb, lb)) in enumerate(sorted(t.edges)):
+        # Sorted pairs put a leg end first, so only ``b`` can face a leg.
         if va == LEG and vb == LEG:
-            nodes[("m", idx)] = [-la, -lb]
+            legs[("m", idx)] = [-la, -lb]
+        axis[(vb, lb)] = -la if va == LEG else idx
+        axis[(va, la)] = idx
+    nodes = {("v", v): [axis[(v, s)] for s in range(4)] for v in range(t.num_vertices)}
+    nodes.update(legs)
     return nodes
 
 

@@ -23,8 +23,7 @@ deliberately not identified); leg labels are fixed pointwise.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "LEG",
@@ -40,12 +39,10 @@ __all__ = [
     "serialize_tangle",
     "save_tangle",
     "partner_map",
-    "slot_edge_map",
     "relabel_legs",
     "disjoint_union",
     "knot_components",
     "canonical_key",
-    "CANONICAL_VERTEX_BOUND",
 ]
 
 #: Pseudo-vertex index marking a labeled degree-one end: ``(LEG, label)``.
@@ -53,9 +50,6 @@ LEG = -1
 
 #: An endpoint is ``(vertex, slot)`` with ``vertex >= 0`` or ``(LEG, label)``.
 Endpoint = tuple[int, int]
-
-#: Default bound on ``num_vertices`` for exhaustive canonicalization.
-CANONICAL_VERTEX_BOUND = 10
 
 
 class VldError(ValueError):
@@ -252,11 +246,11 @@ def load_tangle(path: str) -> Tangle:
 
 def serialize_tangle(t: Tangle) -> str:
     """Serialize to ``.vld`` text; ``parse_tangle`` recovers an equal tangle."""
-    edge_ids: dict[tuple[Endpoint, Endpoint], str] = {}
-    slot_edge = slot_edge_map(t)
+    edge_ids: dict[Endpoint, str] = {}
+    partner = partner_map(t)
 
     def name_for(ep: Endpoint) -> str:
-        edge = slot_edge[ep]
+        edge = min(ep, partner[ep])  # an edge is named by its lesser endpoint
         if edge not in edge_ids:
             edge_ids[edge] = f"e{len(edge_ids)}"
         return edge_ids[edge]
@@ -288,15 +282,6 @@ def partner_map(t: Tangle) -> dict[Endpoint, Endpoint]:
         partner[a] = b
         partner[b] = a
     return partner
-
-
-def slot_edge_map(t: Tangle) -> dict[Endpoint, tuple[Endpoint, Endpoint]]:
-    """Map each endpoint to its (sorted) edge."""
-    out: dict[Endpoint, tuple[Endpoint, Endpoint]] = {}
-    for edge in t.edges:
-        out[edge[0]] = edge
-        out[edge[1]] = edge
-    return out
 
 
 def relabel_legs(t: Tangle, perm: dict[int, int]) -> Tangle:
@@ -336,116 +321,82 @@ def knot_components(g: Tangle) -> int:
     """
     if g.arity:
         raise ValueError("knot_components is defined for diagrams (arity 0) only")
-    edges = sorted(g.edges)
-    index = {e: i for i, e in enumerate(edges)}
-    parent = list(range(len(edges)))
+    # Union-find over endpoints: an edge joins its two ends, a vertex joins
+    # opposite slots; each class is one knot.
+    parent = {ep: ep for edge in g.edges for ep in edge}
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(a: Endpoint) -> Endpoint:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    slot_edge = slot_edge_map(g)
-    for v in range(g.num_vertices):
-        union(index[slot_edge[(v, 0)]], index[slot_edge[(v, 2)]])
-        union(index[slot_edge[(v, 1)]], index[slot_edge[(v, 3)]])
-    roots = {find(i) for i in range(len(edges))}
-    return len(roots) + g.loop_count
+    joins = list(g.edges)
+    joins += [((v, s), (v, s + 2)) for v in range(g.num_vertices) for s in (0, 1)]
+    for a, b in joins:
+        parent[find(a)] = find(b)
+    return len({find(a) for a in parent}) + g.loop_count
 
 
 # ---------------------------------------------------------------------------
 # Canonical form
 #
-# The canonical key is the lexicographically minimal encoding of the tangle
-# over all vertex orderings and per-vertex rotations by two slots.  Candidate
-# orderings are restricted to those sorted by an iteratively refined vertex
-# invariant; the invariant is isomorphism-invariant, so the minimum over the
-# restricted set is still a canonical form.  Keys are equal iff the tangles
-# are isomorphic (with legs fixed pointwise).
+# Every vertex fixes its slot cycle up to rotation by two, so a traversal
+# from a start vertex u at rotation r in {0, 2} labels u's component without
+# any choice: vertices are visited breadth-first in label order, each reading
+# its slots (s + r) % 4 for s = 0..3, and a newly reached vertex takes the
+# next label and the rotation that puts its arrival slot in {0, 1}.  Listing
+# the partner of every visited slot, as (label, rotated slot) or (LEG, label),
+# encodes the component under that labeling.
+#
+# Legs are fixed pointwise, so a component touching legs has one admissible
+# start: the vertex at its lowest leg, rotated to put that leg's slot in
+# {0, 1}.  A closed component of c vertices is keyed by the minimum code over
+# its 2c starts, at O(c) per traversal and O(c^2) in all.  Keys are equal iff
+# the tangles are isomorphic (with legs fixed pointwise).
 
 _key_cache: dict[Tangle, bytes] = {}
 
 
-def canonical_key(t: Tangle, max_vertices: int = CANONICAL_VERTEX_BOUND) -> bytes:
+def canonical_key(t: Tangle) -> bytes:
     """Canonical byte-string key of the isomorphism class of ``t``."""
-    if t.num_vertices > max_vertices:
-        raise ValueError(
-            f"tangle has {t.num_vertices} vertices, above the exhaustive "
-            f"canonicalization bound {max_vertices}; raise max_vertices "
-            "explicitly or fall back to a non-canonical structural hash"
-        )
     cached = _key_cache.get(t)
     if cached is not None:
         return cached
+    partner = partner_map(t)
 
-    nv = t.num_vertices
-    classes = _refined_classes(t)
-    best: tuple | None = None
-    for order in _admissible_orders(classes, nv):
-        pos = {old: new for new, old in enumerate(order)}
-        for rots in itertools.product((0, 2), repeat=nv):
+    def traverse(u: int, r: int) -> tuple[tuple[Endpoint, ...], dict[int, int]]:
+        label, rot, order, code = {u: 0}, {u: r}, [u], []
+        for x in order:  # grows while it is walked: breadth-first
+            for s in range(4):
+                w, sw = partner[(x, (s + rot[x]) % 4)]
+                if w == LEG:
+                    code.append((LEG, sw))
+                    continue
+                if w not in label:
+                    label[w], rot[w] = len(order), 0 if sw < 2 else 2
+                    order.append(w)
+                code.append((label[w], (sw - rot[w]) % 4))
+        return tuple(code), label
 
-            def mapped(ep: Endpoint) -> Endpoint:
-                if ep[0] == LEG:
-                    return ep
-                v, s = ep
-                return (pos[v], (s + rots[v]) % 4)
-
-            code = (
-                nv,
-                t.arity,
-                t.loop_count,
-                tuple(sorted(tuple(sorted((mapped(a), mapped(b)))) for a, b in t.edges)),
-            )
-            if best is None or code < best:
-                best = code
-    key = repr(best).encode("ascii")
+    reached: set[int] = set()
+    leg_codes = []
+    for i in range(1, t.arity + 1):
+        w, sw = partner[(LEG, i)]
+        if w == LEG and sw > i:
+            leg_codes.append(((LEG, sw),))
+        elif w != LEG and w not in reached:
+            code, label = traverse(w, 0 if sw < 2 else 2)
+            reached.update(label)
+            leg_codes.append(code)
+    closed_codes = []
+    for u in range(t.num_vertices):
+        if u not in reached:
+            component = traverse(u, 0)[1]
+            reached.update(component)
+            closed_codes.append(min(traverse(w, r)[0] for w in component for r in (0, 2)))
+    key = repr(
+        (t.num_vertices, t.arity, t.loop_count, leg_codes, sorted(closed_codes))
+    ).encode("ascii")
     _key_cache[t] = key
     return key
-
-
-def _refined_classes(t: Tangle) -> dict[int, int]:
-    """Iteratively refined vertex classes, invariant under isomorphism."""
-    partner = partner_map(t)
-    nv = t.num_vertices
-    cls = {v: 0 for v in range(nv)}
-    for _ in range(max(nv, 1)):
-        sigs = {}
-        for v in range(nv):
-            rows = []
-            for r in (0, 2):
-                row = []
-                for s in range(4):
-                    p = partner[(v, (s + r) % 4)]
-                    if p[0] == LEG:
-                        row.append((0, p[1], 0))
-                    elif p[0] == v:
-                        # relative slot offset is rotation-invariant
-                        row.append((1, (p[1] - (s + r)) % 4, 0))
-                    else:
-                        # partner slot parity survives rotation by two
-                        row.append((2, cls[p[0]], p[1] % 2))
-                rows.append(tuple(row))
-            sigs[v] = (cls[v], min(rows))
-        order = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
-        new = {v: order[sigs[v]] for v in range(nv)}
-        if new == cls:
-            break
-        cls = new
-    return cls
-
-
-def _admissible_orders(cls: dict[int, int], nv: int):
-    """All vertex orderings listing refined classes in increasing order."""
-    cells: dict[int, list[int]] = {}
-    for v in range(nv):
-        cells.setdefault(cls[v], []).append(v)
-    cell_lists = [sorted(cells[c]) for c in sorted(cells)]
-    for parts in itertools.product(*(itertools.permutations(cell) for cell in cell_lists)):
-        yield [v for part in parts for v in part]

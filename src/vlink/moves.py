@@ -34,7 +34,6 @@ from .diagram import (
     Endpoint,
     Tangle,
     build_tangle,
-    slot_edge_map,
     strand_tangle,
 )
 from .model import VertexModel, partition_function

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -88,6 +89,18 @@ def test_eval_qtl(workdir, capsys):
     )
     assert code == 0
     assert out == "4 0\n"
+
+
+def test_eval_qtl_large_term(workdir, capsys):
+    vl.save_tangle(
+        vl.random_tangle(np.random.default_rng(12), 0, 12), str(workdir / "big.vld")
+    )
+    (workdir / "big.qtl").write_text("term 1 0 big.vld\n")
+    model = workdir / "transmission.json"
+    code_vld, out_vld, _ = run(capsys, "eval", "--model", model, workdir / "big.vld")
+    code_qtl, out_qtl, err = run(capsys, "eval", "--model", model, workdir / "big.qtl")
+    assert (code_vld, code_qtl, err) == (0, 0, "")
+    assert out_qtl == out_vld
 
 
 def test_eval_missing_file(workdir, capsys):
@@ -332,10 +345,14 @@ def test_help_exits_zero(capsys):
 
 
 def test_console_script_installed():
+    # The child process imports the same vlink as this one, installed or not.
+    src = os.path.dirname(os.path.dirname(vl.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "vlink.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "vlink" in proc.stdout

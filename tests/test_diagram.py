@@ -208,14 +208,18 @@ def _transformed(t: vl.Tangle, perm: list[int], rotations: list[int]) -> vl.Tang
     )
 
 
+def _random_copy(rng, t: vl.Tangle) -> vl.Tangle:
+    """``t`` with vertices randomly permuted and frames rotated by two."""
+    perm = [int(p) for p in rng.permutation(t.num_vertices)]
+    rotations = [int(r) * 2 for r in rng.integers(0, 2, size=t.num_vertices)]
+    return _transformed(t, perm, rotations)
+
+
 def test_canonical_key_invariant_under_relabeling():
     rng = np.random.default_rng(99)
     for _ in range(40):
-        vertices = int(rng.integers(1, 5))
-        t = vl.random_tangle(rng, int(rng.integers(0, 3)) * 2, vertices)
-        perm = list(rng.permutation(vertices))
-        rotations = [int(r) * 2 for r in rng.integers(0, 2, size=vertices)]
-        u = _transformed(t, perm, rotations)
+        t = vl.random_tangle(rng, int(rng.integers(0, 3)) * 2, int(rng.integers(1, 5)))
+        u = _random_copy(rng, t)
         assert brute_isomorphic(t, u)
         assert vl.canonical_key(t) == vl.canonical_key(u)
 
@@ -238,15 +242,36 @@ def test_canonical_key_per_leg_labels():
 
 def test_canonical_key_agrees_with_brute_oracle():
     rng = np.random.default_rng(5)
-    pool = [vl.random_tangle(rng, 2, int(rng.integers(0, 3))) for _ in range(14)]
+    pool = []
+    for _ in range(40):
+        t = vl.random_tangle(
+            rng, 2 * int(rng.integers(0, 4)), int(rng.integers(0, 4)), int(rng.integers(0, 2))
+        )
+        pool += [t, _random_copy(rng, t)]
     for i, t in enumerate(pool):
         for u in pool[i + 1 :]:
             assert (vl.canonical_key(t) == vl.canonical_key(u)) == brute_isomorphic(t, u)
 
 
-def test_canonical_key_vertex_bound():
+def _ring(size: int) -> vl.Tangle:
+    """Vertex-transitive closed diagram: slots 2, 3 of each vertex feed 0, 1 of the next."""
+    edges = []
+    for v in range(size):
+        w = (v + 1) % size
+        edges += [((v, 2), (w, 0)), ((v, 3), (w, 1))]
+    return vl.build_tangle(size, edges)
+
+
+def test_canonical_key_large_and_vertex_transitive():
     rng = np.random.default_rng(1)
+    ring = _ring(8)
+    assert vl.canonical_key(ring) == vl.canonical_key(_random_copy(rng, ring))
     big = vl.random_tangle(rng, 0, 12)
-    with pytest.raises(ValueError, match="vertices"):
-        vl.canonical_key(big)
-    assert vl.canonical_key(big, max_vertices=12)
+    assert vl.canonical_key(big) == vl.canonical_key(_random_copy(rng, big))
+    # Rotating one frame by a single slot swaps over- and under-strand there.
+    for size in (3, 4, 5, 8):
+        ring = _ring(size)
+        shifted = _transformed(ring, list(range(size)), [1] + [0] * (size - 1))
+        if size <= 5:
+            assert not brute_isomorphic(ring, shifted)
+        assert vl.canonical_key(ring) != vl.canonical_key(shifted)
