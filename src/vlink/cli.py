@@ -133,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         # Downstream consumer (e.g. `head`) closed stdout; exit quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (VldError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (VldError, ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"vlink: error: {exc}", file=sys.stderr)
         return 1
 

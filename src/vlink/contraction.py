@@ -74,35 +74,32 @@ def plan_contraction(t: Tangle) -> ContractionPlan:
     """Greedy pairwise merge plan for evaluating ``t``."""
     raw = _initial_nodes(t)
     traced = []
-    open_ids: dict[tuple, list[int]] = {}
-    for key in sorted(raw):
+    keys = sorted(raw)
+    open_ids = []
+    for key in keys:
         ids = raw[key]
         kept = _open_ids(ids)
         if len(kept) != len(ids):
             traced.append((key, tuple(sorted(set(i for i in ids if ids.count(i) == 2)))))
-        open_ids[key] = kept
-    peak = max((len(ids) for ids in open_ids.values()), default=0)
+        open_ids.append(frozenset(kept))
+    peak = max(map(len, open_ids), default=0)
 
     steps = []
     while len(open_ids) > 1:
+        # Pairs are visited in id order, so the first pair of least arity
+        # is the least (arity, a, b).  A merge keeps the lesser id, so
+        # ``keys`` stays sorted.
         best = None
-        for a in sorted(open_ids):
-            for b in sorted(open_ids):
-                if b <= a:
-                    continue
-                shared = set(open_ids[a]) & set(open_ids[b])
-                arity = len(open_ids[a]) + len(open_ids[b]) - 2 * len(shared)
-                cand = (arity, a, b)
-                if best is None or cand < best:
-                    best = cand
-        arity, a, b = best
-        shared = tuple(sorted(set(open_ids[a]) & set(open_ids[b])))
-        steps.append(ContractionStep(a, b, shared, arity))
-        merged = [i for i in open_ids[a] if i not in shared]
-        merged += [i for i in open_ids[b] if i not in shared]
-        del open_ids[b]
-        del open_ids[a]
-        open_ids[min(a, b)] = merged
+        for i, ids_a in enumerate(open_ids):
+            for j in range(i + 1, len(open_ids)):
+                arity = len(ids_a ^ open_ids[j])
+                if best is None or arity < best[0]:
+                    best = (arity, i, j)
+        arity, i, j = best
+        shared = tuple(sorted(open_ids[i] & open_ids[j]))
+        steps.append(ContractionStep(keys[i], keys[j], shared, arity))
+        open_ids[i] ^= open_ids[j]
+        del keys[j], open_ids[j]
         peak = max(peak, arity)
     return ContractionPlan(tuple(steps), tuple(traced), peak)
 

@@ -34,6 +34,7 @@ from .diagram import (
     Endpoint,
     Tangle,
     build_tangle,
+    partner_map,
     strand_tangle,
 )
 from .model import VertexModel, partition_function
@@ -246,18 +247,21 @@ def _loop_slots(g: Tangle, v: int) -> int | None:
     return None
 
 
-def _has_edge(g: Tangle, a: Endpoint, b: Endpoint) -> bool:
-    return tuple(sorted((a, b))) in g.edges
-
-
 def enumerate_move_sites(g: Tangle, kind: str) -> list[MoveSite]:
-    """All sites of one move kind, in a fixed deterministic order."""
+    """All sites of one move kind, in a fixed deterministic order.
+
+    R1-, R2- and R3 cost O(v): each site is fixed by its first vertex u, the
+    frame rotation ru and the partners of slots 2+ru and 3+ru, so one pass
+    over u reads those partners and checks the one remaining edge.  R1+ and
+    R2+ cost the size of their output (one site per edge, per ordered pair
+    of edges).  R2- anchors come out in lexicographic order, R3 anchors in
+    order of (u, v, w, ru, rv, rw) with direction +1 first.
+    """
     if g.arity:
         raise ValueError("move sites are enumerated on diagrams (arity 0) only")
     sites: list[MoveSite] = []
-    edges = sorted(g.edges)
     if kind == "R1+":
-        for e in edges:
+        for e in sorted(g.edges):
             sites.append(MoveSite(kind, ("edge", e)))
         if g.loop_count:
             sites.append(MoveSite(kind, ("loop",)))
@@ -266,42 +270,36 @@ def enumerate_move_sites(g: Tangle, kind: str) -> list[MoveSite]:
             if _loop_slots(g, v) is not None:
                 sites.append(MoveSite(kind, (v,)))
     elif kind == "R2+":
+        edges = sorted(g.edges)
         for a in edges:
             for b in edges:
                 if a != b:
                     sites.append(MoveSite(kind, (a, b)))
-    elif kind == "R2-":
+    elif kind in ("R2-", "R3"):
+        partner = partner_map(g)
+        anchors = []
         for u in range(g.num_vertices):
-            for w in range(g.num_vertices):
-                if u == w:
+            for ru in (0, 2):
+                x, sx = partner[(u, (2 + ru) % 4)]
+                y, sy = partner[(u, (3 + ru) % 4)]
+                if kind == "R2-":
+                    # w on slot 2+ru with rw = sx, edge u(3+ru)-w(3+rw)
+                    if x != u and sx % 2 == 0 and (y, sy) == (x, (3 + sx) % 4):
+                        anchors.append((u, x, ru, sx))
+                elif len({u, x, y}) != 3 or sx % 2 != sy % 2:
                     continue
-                for ru in (0, 2):
-                    for rw in (0, 2):
-                        if _has_edge(g, (u, (2 + ru) % 4), (w, rw)) and _has_edge(
-                            g, (u, (3 + ru) % 4), (w, (3 + rw) % 4)
-                        ):
-                            sites.append(MoveSite(kind, (u, w, ru, rw)))
-    elif kind == "R3":
-        for u in range(g.num_vertices):
-            for v in range(g.num_vertices):
-                for w in range(g.num_vertices):
-                    if len({u, v, w}) != 3:
-                        continue
-                    for ru in (0, 2):
-                        for rv in (0, 2):
-                            for rw in (0, 2):
-                                if (
-                                    _has_edge(g, (u, (2 + ru) % 4), (v, rv))
-                                    and _has_edge(g, (u, (3 + ru) % 4), (w, rw))
-                                    and _has_edge(g, (v, (3 + rv) % 4), (w, (1 + rw) % 4))
-                                ):
-                                    sites.append(MoveSite(kind, (u, v, w, ru, rv, rw, +1)))
-                                if (
-                                    _has_edge(g, (u, (2 + ru) % 4), (w, (1 + rw) % 4))
-                                    and _has_edge(g, (u, (3 + ru) % 4), (v, (1 + rv) % 4))
-                                    and _has_edge(g, (v, (2 + rv) % 4), (w, rw))
-                                ):
-                                    sites.append(MoveSite(kind, (u, v, w, ru, rv, rw, -1)))
+                elif sx % 2 == 0:
+                    # +1: v on slot 2+ru, w on slot 3+ru, edge v(3+rv)-w(1+rw)
+                    if partner[(x, (3 + sx) % 4)] == (y, (1 + sy) % 4):
+                        anchors.append((u, x, y, ru, sx, sy, +1))
+                else:
+                    # -1: w on slot 2+ru, v on slot 3+ru, edge v(2+rv)-w(rw)
+                    rw, rv = sx - 1, sy - 1
+                    if partner[(y, (2 + rv) % 4)] == (x, rw):
+                        anchors.append((u, y, x, ru, rv, rw, -1))
+        # An R3 site's first six entries fix its direction, so tuple order
+        # never compares directions.
+        sites = [MoveSite(kind, anchor) for anchor in sorted(anchors)]
     else:
         raise ValueError(f"unknown move kind {kind!r}")
     return sites

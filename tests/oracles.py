@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: partition functions by explicit
 enumeration of edge colorings, isomorphism by exhaustive search over vertex
-bijections and frame rotations, knot components by depth-first search.
+bijections and frame rotations, knot components by depth-first search, move
+sites by scanning every vertex pair and triple, and the greedy contraction
+order by comparing every pair of nodes with freshly sorted ids.
 None of it imports the contraction planner or the canonical-form code.
 """
 
@@ -100,3 +102,92 @@ def dfs_knot_components(t: Tangle) -> int:
             seen.add(node)
             stack.extend(adjacency[node] - seen)
     return components + t.loop_count
+
+
+def _has_edge(t: Tangle, a, b) -> bool:
+    return tuple(sorted((a, b))) in t.edges
+
+
+def brute_move_sites(g: Tangle, kind: str) -> list[tuple]:
+    """R2- or R3 site anchors by scanning every vertex pair or triple and
+    every frame rotation, in the order the scan meets them."""
+    nv = g.num_vertices
+    anchors = []
+    if kind == "R2-":
+        for u in range(nv):
+            for w in range(nv):
+                if u == w:
+                    continue
+                for ru in (0, 2):
+                    for rw in (0, 2):
+                        if _has_edge(g, (u, (2 + ru) % 4), (w, rw)) and _has_edge(
+                            g, (u, (3 + ru) % 4), (w, (3 + rw) % 4)
+                        ):
+                            anchors.append((u, w, ru, rw))
+    elif kind == "R3":
+        for u in range(nv):
+            for v in range(nv):
+                for w in range(nv):
+                    if len({u, v, w}) != 3:
+                        continue
+                    for ru in (0, 2):
+                        for rv in (0, 2):
+                            for rw in (0, 2):
+                                if (
+                                    _has_edge(g, (u, (2 + ru) % 4), (v, rv))
+                                    and _has_edge(g, (u, (3 + ru) % 4), (w, rw))
+                                    and _has_edge(g, (v, (3 + rv) % 4), (w, (1 + rw) % 4))
+                                ):
+                                    anchors.append((u, v, w, ru, rv, rw, +1))
+                                if (
+                                    _has_edge(g, (u, (2 + ru) % 4), (w, (1 + rw) % 4))
+                                    and _has_edge(g, (u, (3 + ru) % 4), (v, (1 + rv) % 4))
+                                    and _has_edge(g, (v, (2 + rv) % 4), (w, rw))
+                                ):
+                                    anchors.append((u, v, w, ru, rv, rw, -1))
+    else:
+        raise ValueError(f"no brute scan for move kind {kind!r}")
+    return anchors
+
+
+def greedy_plan_steps(t: Tangle) -> list[tuple]:
+    """Min-arity greedy merge order as (left, right, contracted, arity)
+    tuples: every step compares every node pair and keeps the least
+    (arity, left, right).
+
+    Node ids and axis ids follow the planner's conventions: ("v", vertex)
+    and ("m", edge index) nodes, internal edges numbered by their position
+    in the sorted edge list, the axis feeding leg l numbered -l.  Axes that
+    a vertex joins to itself are traced before merging.
+    """
+    axis = {}
+    nodes = {}
+    for idx, (a, b) in enumerate(sorted(t.edges)):
+        if a[0] == LEG and b[0] == LEG:
+            nodes[("m", idx)] = [-a[1], -b[1]]
+        elif a[0] == LEG:
+            axis[b] = -a[1]
+        else:
+            axis[a] = axis[b] = idx
+    for v in range(t.num_vertices):
+        nodes[("v", v)] = [axis[(v, s)] for s in range(4)]
+    nodes = {key: [i for i in ids if ids.count(i) == 1] for key, ids in nodes.items()}
+
+    steps = []
+    while len(nodes) > 1:
+        best = None
+        for a in sorted(nodes):
+            for b in sorted(nodes):
+                if b <= a:
+                    continue
+                shared = set(nodes[a]) & set(nodes[b])
+                cand = (len(nodes[a]) + len(nodes[b]) - 2 * len(shared), a, b)
+                if best is None or cand < best:
+                    best = cand
+        arity, a, b = best
+        shared = tuple(sorted(set(nodes[a]) & set(nodes[b])))
+        steps.append((a, b, shared, arity))
+        merged = [i for i in nodes.pop(a) if i not in shared]
+        merged += [i for i in nodes.pop(b) if i not in shared]
+        nodes[min(a, b)] = merged
+    return steps

@@ -8,6 +8,7 @@ import pytest
 
 import vlink as vl
 from vlink.cli import main
+from vlink.contraction import plan_contraction
 
 
 @pytest.fixture
@@ -188,6 +189,30 @@ def test_moves_pass_and_deterministic(workdir, capsys):
     assert out_a.startswith("applied ")
 
 
+def test_moves_output_golden(tmp_path, capsys):
+    # Integer entries keep every partition function exact.  The model fails
+    # the move conditions and this diagram's R2+, R2- and R3 sites change f
+    # by different amounts, so the output shows which site each seed picks.
+    raw = np.random.default_rng(5).integers(-2, 3, (2, 2, 2, 2))
+    vl.save_model(vl.VertexModel(2, raw + raw.transpose(2, 3, 0, 1)), str(tmp_path / "int.json"))
+    (tmp_path / "five.vld").write_text(
+        "x v0 e0 e1 e2 e3\nx v1 e2 e4 e4 e3\nx v2 e5 e6 e7 e8\n"
+        "x v3 e7 e6 e1 e9\nx v4 e8 e9 e0 e5\n"
+    )
+    golden = {
+        0: "applied 1\nmax_scaled_delta 0.102584029531766\nfail\n",
+        1: "applied 1\nmax_scaled_delta 31.0918981931222\nfail\n",
+        4: "applied 1\nmax_scaled_delta 0.973771128812901\nfail\n",
+    }
+    for seed, expected in golden.items():
+        code, out, _ = run(
+            capsys,
+            "moves", "--model", tmp_path / "int.json", "test", tmp_path / "five.vld",
+            "--count", "1", "--seed", seed,
+        )
+        assert (code, out) == (2, expected)
+
+
 def test_moves_rejects_open_tangles(workdir, capsys):
     code, _, err = run(
         capsys,
@@ -344,15 +369,53 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "eval", "--help")[0] == 0
 
 
-def test_console_script_installed():
-    # The child process imports the same vlink as this one, installed or not.
+def _child_env() -> dict[str, str]:
+    """Environment for a child process that imports the same vlink as this
+    one, installed or not."""
     src = os.path.dirname(os.path.dirname(vl.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+
+
+def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "vlink.cli", "--help"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "vlink" in proc.stdout
+
+
+#: Child process: cap its address space at 128 MiB above what it has
+#: mapped after importing vlink, then run the CLI on its arguments.
+_CAPPED_CLI = """
+import os, resource, sys
+from vlink.cli import main
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+cap = mapped + (128 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
+def test_eval_out_of_memory_is_an_error(tmp_path):
+    # At n=4 this plan's widest intermediate holds 4^14 complex entries (4 GiB).
+    t = vl.random_tangle(np.random.default_rng(0), 0, 40)
+    assert plan_contraction(t).peak_arity == 14
+    vl.save_tangle(t, str(tmp_path / "big.vld"))
+    vl.save_model(vl.random_model(4, np.random.default_rng(0)), str(tmp_path / "n4.json"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, "eval", "--model",
+         str(tmp_path / "n4.json"), str(tmp_path / "big.vld")],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("vlink: error: ")
+    assert "Traceback" not in proc.stderr

@@ -4,7 +4,7 @@ import pytest
 import vlink as vl
 from vlink.contraction import execute_plan, plan_contraction
 
-from oracles import naive_tangle_tensor
+from oracles import greedy_plan_steps, naive_tangle_tensor
 
 
 def _chain_diagram(length: int) -> vl.Tangle:
@@ -105,3 +105,20 @@ def test_loop_factor_left_to_caller():
     raw = execute_plan(vl.transmission_model(3).entries, 3, g, plan)
     assert complex(raw) == 1.0 + 0.0j
     assert vl.partition_function(vl.transmission_model(3), g) == 9.0 + 0.0j
+
+
+def test_plan_matches_greedy_oracle():
+    rng = np.random.default_rng(31)
+    seen = {"legs": 0, "self_loops": 0, "leg_to_leg": 0}
+    for num_vertices in range(25):
+        for _ in range(3):
+            t = vl.random_tangle(
+                rng, 2 * int(rng.integers(0, 4)), num_vertices, int(rng.integers(0, 2))
+            )
+            plan = plan_contraction(t)
+            steps = [(s.left, s.right, s.contracted, s.result_arity) for s in plan.steps]
+            assert steps == greedy_plan_steps(t), t
+            seen["legs"] += t.arity > 0
+            seen["self_loops"] += bool(plan.traced_at_init)
+            seen["leg_to_leg"] += any(a[0] == b[0] == vl.LEG for a, b in t.edges)
+    assert min(seen.values()) > 0, seen

@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 import vlink as vl
 from vlink.moves import MOVE_KINDS, kink_contraction, ybe_sides
 
-from oracles import dfs_knot_components
+from oracles import brute_move_sites, dfs_knot_components
 
 
 def _swap_model() -> vl.VertexModel:
@@ -16,6 +18,10 @@ def _swap_model() -> vl.VertexModel:
 def _braid_left() -> vl.Tangle:
     (left,) = [t for t, c in vl.move_tangles(3) if c == 1.0]
     return left
+
+
+def _closed_braid() -> vl.Tangle:
+    return vl.glue(_braid_left(), vl.matching_tangle([(1, 6), (2, 3), (4, 5)]))
 
 
 def _all_sites(g: vl.Tangle) -> list[vl.MoveSite]:
@@ -131,6 +137,45 @@ def test_site_enumeration_deterministic(corpus):
             assert vl.enumerate_move_sites(g, kind) == vl.enumerate_move_sites(g, kind)
 
 
+def _chain_diagrams() -> list[vl.Tangle]:
+    """Seeded random diagrams and the diagrams met along random-move chains
+    from them and from the closed braid, at most ten vertices."""
+    diagrams = []
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        g = _closed_braid() if seed == 0 else vl.random_tangle(rng, 0, int(rng.integers(1, 9)))
+        for _ in range(20):
+            diagrams.append(g)
+            _, g = vl.random_move(g, rng)
+            if g.num_vertices > 10:
+                g = vl.random_tangle(rng, 0, 4)
+    return diagrams
+
+
+def test_sites_match_brute_scan():
+    seen = {"R2-": 0, "R3": 0}
+    for g in _chain_diagrams():
+        for kind in seen:
+            sites = vl.enumerate_move_sites(g, kind)
+            assert all(s.kind == kind for s in sites)
+            assert [s.anchor for s in sites] == brute_move_sites(g, kind), (g, kind)
+            seen[kind] += len(sites)
+    assert min(seen.values()) > 0, seen
+
+
+def test_site_scans_are_linear():
+    big = vl.random_tangle(np.random.default_rng(0), 0, 300)
+    planted = vl.glue(vl.random_tangle(np.random.default_rng(1), 6, 297), _braid_left())
+    start = time.perf_counter()
+    for g in (big, planted):
+        for kind in ("R1-", "R2-", "R3"):
+            vl.enumerate_move_sites(g, kind)
+    assert time.perf_counter() - start < 0.5
+    # glue shifts the braid's vertices past the 297 of the random tangle.
+    braid_site = vl.MoveSite("R3", (297, 298, 299, 0, 0, 0, +1))
+    assert braid_site in vl.enumerate_move_sites(planted, "R3")
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown move kind"):
         vl.enumerate_move_sites(vl.loop_diagram(1), "R4")
@@ -194,7 +239,7 @@ def test_r2_round_trip_up_to_isomorphism():
 
 
 def test_r3_round_trip_up_to_isomorphism():
-    closed = vl.glue(_braid_left(), vl.matching_tangle([(1, 6), (2, 3), (4, 5)]))
+    closed = _closed_braid()
     assert closed.num_vertices == 3
     sites = vl.enumerate_move_sites(closed, "R3")
     assert sites  # the braid pattern is present by construction
@@ -235,6 +280,42 @@ def test_random_move_deterministic():
     site_b, out_b = vl.random_move(g, np.random.default_rng(42))
     assert site_a == site_b
     assert out_a == out_b
+
+
+#: The first 20 moves of a seeded chain from the closed braid.  random_move
+#: picks a site by its index, so this pins the order of every site list.
+CHAIN_GOLDEN = [
+    ("R3", (2, 1, 0, 0, 2, 0, 1)),
+    ("R2+", (((0, 2), (2, 1)), ((1, 2), (2, 0)))),
+    ("R1-", (1,)),
+    ("R1+", ("edge", ((0, 0), (0, 1)))),
+    ("R1+", ("edge", ((0, 1), (4, 3)))),
+    ("R2-", (2, 3, 0, 0)),
+    ("R1-", (3,)),
+    ("R2+", (((0, 3), (1, 0)), ((1, 2), (1, 3)))),
+    ("R2-", (3, 4, 0, 0)),
+    ("R2+", (((0, 3), (1, 0)), ((0, 1), (2, 3)))),
+    ("R2+", (((3, 3), (4, 3)), ((0, 3), (3, 0)))),
+    ("R1-", (2,)),
+    ("R3", (3, 2, 0, 2, 2, 0, 1)),
+    ("R1+", ("edge", ((1, 1), (4, 3)))),
+    ("R3", (5, 4, 3, 2, 2, 2, 1)),
+    ("R1+", ("edge", ((3, 3), (4, 1)))),
+    ("R2-", (1, 2, 0, 0)),
+    ("R3", (2, 3, 4, 0, 0, 0, -1)),
+    ("R1+", ("edge", ((4, 3), (5, 1)))),
+    ("R1+", ("edge", ((2, 3), (4, 1)))),
+]
+
+
+def test_random_move_chain_golden():
+    g = _closed_braid()
+    rng = np.random.default_rng(0)
+    chain = []
+    for _ in range(len(CHAIN_GOLDEN)):
+        site, g = vl.random_move(g, rng)
+        chain.append((site.kind, site.anchor))
+    assert chain == CHAIN_GOLDEN
 
 
 def test_random_move_needs_sites():
