@@ -11,6 +11,7 @@ digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -55,6 +56,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on each call, so changing one never changes `main`."""
     parser = _Parser(
         prog="vlink",
         description="Vertex-model partition functions of virtual link diagrams.",
@@ -122,9 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built once per process, because building one
+    costs far more than parsing with it.  `parse_args` keeps no state
+    between calls and looks up sys.stdout and sys.stderr when it prints."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

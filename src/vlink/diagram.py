@@ -23,7 +23,9 @@ deliberately not identified); leg labels are fixed pointwise.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "LEG",
@@ -43,6 +45,8 @@ __all__ = [
     "disjoint_union",
     "knot_components",
     "canonical_key",
+    "KeyCacheInfo",
+    "key_cache_info",
 ]
 
 #: Pseudo-vertex index marking a labeled degree-one end: ``(LEG, label)``.
@@ -355,14 +359,39 @@ def knot_components(g: Tangle) -> int:
 # its 2c starts, at O(c) per traversal and O(c^2) in all.  Keys are equal iff
 # the tangles are isomorphic (with legs fixed pointwise).
 
-_key_cache: dict[Tangle, bytes] = {}
+#: Most tangles whose keys `canonical_key` keeps; the least recently used
+#: goes first, so a long run keying many distinct tangles holds bounded memory.
+KEY_CACHE_BOUND = 1 << 16
+
+_key_cache: OrderedDict[Tangle, bytes] = OrderedDict()
+_key_cache_hits = 0
+_key_cache_misses = 0
+
+
+class KeyCacheInfo(NamedTuple):
+    """Counts of `canonical_key`'s cache, as `key_cache_info` returns them."""
+
+    hits: int
+    misses: int
+    size: int
+    bound: int
+
+
+def key_cache_info() -> KeyCacheInfo:
+    """Hits and misses of `canonical_key`'s cache since import, its current
+    size and its bound."""
+    return KeyCacheInfo(_key_cache_hits, _key_cache_misses, len(_key_cache), KEY_CACHE_BOUND)
 
 
 def canonical_key(t: Tangle) -> bytes:
     """Canonical byte-string key of the isomorphism class of ``t``."""
+    global _key_cache_hits, _key_cache_misses
     cached = _key_cache.get(t)
     if cached is not None:
+        _key_cache.move_to_end(t)
+        _key_cache_hits += 1
         return cached
+    _key_cache_misses += 1
     partner = partner_map(t)
 
     def traverse(u: int, r: int) -> tuple[tuple[Endpoint, ...], dict[int, int]]:
@@ -399,4 +428,6 @@ def canonical_key(t: Tangle) -> bytes:
         (t.num_vertices, t.arity, t.loop_count, leg_codes, sorted(closed_codes))
     ).encode("ascii")
     _key_cache[t] = key
+    if len(_key_cache) > KEY_CACHE_BOUND:
+        _key_cache.popitem(last=False)
     return key

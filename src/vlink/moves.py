@@ -455,13 +455,26 @@ def _cut_edges(
 
 def random_move(g: Tangle, rng: np.random.Generator) -> tuple[MoveSite, Tangle]:
     """Apply one uniformly chosen move: first a kind with available sites is
-    drawn, then a site of that kind."""
-    available = [(kind, enumerate_move_sites(g, kind)) for kind in MOVE_KINDS]
-    available = [(kind, sites) for kind, sites in available if sites]
+    drawn, then a site of that kind.
+
+    R2+ has one site per ordered pair of distinct edges, so it is counted,
+    not listed: only the drawn site is built, the one at the same index of
+    ``enumerate_move_sites(g, "R2+")``.
+    """
+    e = len(g.edges)
+    sites = {kind: enumerate_move_sites(g, kind) for kind in MOVE_KINDS if kind != "R2+"}
+    counts = {kind: e * (e - 1) if kind == "R2+" else len(sites[kind]) for kind in MOVE_KINDS}
+    available = [kind for kind in MOVE_KINDS if counts[kind]]
     if not available:
         raise ValueError("diagram admits no move sites")
-    kind, sites = available[int(rng.integers(len(available)))]
-    site = sites[int(rng.integers(len(sites)))]
+    kind = available[int(rng.integers(len(available)))]
+    q = int(rng.integers(counts[kind]))
+    if kind == "R2+":
+        edges = sorted(g.edges)
+        i, r = divmod(q, e - 1)
+        site = MoveSite(kind, (edges[i], edges[r if r < i else r + 1]))
+    else:
+        site = sites[kind][q]
     return site, apply_move(g, site)
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import vlink as vl
-from vlink.cli import main
+import vlink.cli
+from vlink.cli import build_parser, main
 from vlink.contraction import plan_contraction
 
 
@@ -386,6 +387,52 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "vlink" in proc.stdout
+
+
+def test_parser_reuse_matches_fresh_processes(workdir, capsys, monkeypatch):
+    # One in-process sequence, each call against a fresh `vlink` process.
+    # The help width is read when help is printed, not when the parser is
+    # built, so a width set now holds even if the parser already exists.
+    monkeypatch.setenv("COLUMNS", "60")  # narrower than the default 80
+    builds = []
+    original = vlink.cli.build_parser
+    monkeypatch.setattr(vlink.cli, "build_parser", lambda: builds.append(1) or original())
+    sequence = [
+        ["eval", "x.vld"],
+        ["--help"],
+        ["eval", "--model", workdir / "transmission.json", workdir / "loop.vld",
+         workdir / "two_knots.vld"],
+        ["check", "--model", workdir / "transmission.json"],
+        ["enumerate", "--k", "2", "--max-vertices", "1"],
+        ["random", "--kind", "model", "--seed", "3", "--real"],
+        ["eval", "--model", workdir / "knots.json", "--format", "json-lines",
+         "--tol", "1e-6", workdir / "open.vld"],
+    ]
+    codes = []
+    for argv in sequence:
+        argv = [str(a) for a in argv]
+        in_process = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "vlink.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
+        codes.append(in_process[0])
+    assert codes == [1, 0, 0, 0, 0, 0, 0]
+    assert len(builds) <= 1
+
+
+def test_build_parser_is_fresh(capsys):
+    assert build_parser() is not build_parser()
+    mutated = build_parser()
+    mutated.add_argument("--extra")
+    assert mutated.parse_args(["--extra", "1", "random", "--kind", "model"]).extra == "1"
+    code, out, err = run(capsys, "--extra", "1", "random", "--kind", "model")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: vlink [-h] {eval,")
+    assert run(capsys, "random", "--kind", "model")[0] == 0
 
 
 #: Child process: cap its address space at 128 MiB above what it has

@@ -1,9 +1,12 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import vlink as vl
+import vlink.diagram
 from vlink import LEG
 
 from oracles import brute_isomorphic, dfs_knot_components
@@ -275,3 +278,30 @@ def test_canonical_key_large_and_vertex_transitive():
         if size <= 5:
             assert not brute_isomorphic(ring, shifted)
         assert vl.canonical_key(ring) != vl.canonical_key(shifted)
+
+
+def test_canonical_key_cache_is_bounded(monkeypatch):
+    # A fresh cache, put back after the test, so the flood below dies with it.
+    monkeypatch.setattr(vlink.diagram, "_key_cache", OrderedDict())
+    rng = np.random.default_rng(8)
+    early = [
+        vl.random_tangle(rng, 2 * int(rng.integers(0, 3)), int(rng.integers(1, 6)))
+        for _ in range(20)
+    ]
+    keys = [vl.canonical_key(t) for t in early]
+    favourite = early[0]
+    bound = vl.key_cache_info().bound
+    # Vertexless diagrams with distinct loop counts: distinct and cheap to key.
+    for count in range(bound + 1):
+        vl.canonical_key(vl.loop_diagram(count))
+        if count % 1000 == 0:
+            vl.canonical_key(favourite)  # a hit keeps it recently used
+        assert vl.key_cache_info().size <= bound
+    info = vl.key_cache_info()
+    assert info.size == bound
+    assert vl.canonical_key(favourite) == keys[0]
+    assert vl.key_cache_info().hits == info.hits + 1
+    # Every other early tangle was evicted; its key is recomputed unchanged.
+    assert [vl.canonical_key(t) for t in early[1:]] == keys[1:]
+    assert vl.key_cache_info().misses == info.misses + len(set(early[1:]) - {favourite})
+    assert vl.key_cache_info().size == bound

@@ -318,6 +318,27 @@ def test_random_move_chain_golden():
     assert chain == CHAIN_GOLDEN
 
 
+def _listed_draw(g: vl.Tangle, rng: np.random.Generator) -> vl.MoveSite:
+    """random_move's draw made from the full site list of every kind."""
+    lists = [vl.enumerate_move_sites(g, kind) for kind in MOVE_KINDS]
+    available = [sites for sites in lists if sites]
+    sites = available[int(rng.integers(len(available)))]
+    return sites[int(rng.integers(len(sites)))]
+
+
+def test_random_move_draws_as_from_full_lists():
+    drawn = {kind: 0 for kind in MOVE_KINDS}
+    for seed in range(40):
+        g = vl.random_tangle(np.random.default_rng(seed), 0, seed % 8 + 1)
+        rng, listed = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(10):
+            expected = _listed_draw(g, listed)
+            site, g = vl.random_move(g, rng)
+            assert site == expected
+            drawn[site.kind] += 1
+    assert all(drawn.values()), drawn
+
+
 def test_random_move_needs_sites():
     with pytest.raises(ValueError, match="no move sites"):
         vl.random_move(vl.empty_tangle(), np.random.default_rng(0))
