@@ -23,7 +23,7 @@ deliberately not identified); leg labels are fixed pointwise.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,7 +45,7 @@ __all__ = [
     "disjoint_union",
     "knot_components",
     "canonical_key",
-    "KeyCacheInfo",
+    "CacheInfo",
     "key_cache_info",
 ]
 
@@ -363,35 +363,36 @@ def knot_components(g: Tangle) -> int:
 #: goes first, so a long run keying many distinct tangles holds bounded memory.
 KEY_CACHE_BOUND = 1 << 16
 
-_key_cache: OrderedDict[Tangle, bytes] = OrderedDict()
-_key_cache_hits = 0
-_key_cache_misses = 0
 
-
-class KeyCacheInfo(NamedTuple):
-    """Counts of `canonical_key`'s cache, as `key_cache_info` returns them."""
+class CacheInfo(NamedTuple):
+    """Counts of a bounded least-recently-used cache: hits and misses since
+    import, its current size and its bound."""
 
     hits: int
     misses: int
     size: int
     bound: int
 
+    @classmethod
+    def of(cls, cached) -> CacheInfo:
+        """The counts of a ``functools.lru_cache`` wrapper."""
+        info = cached.cache_info()
+        return cls(info.hits, info.misses, info.currsize, info.maxsize)
 
-def key_cache_info() -> KeyCacheInfo:
+
+def key_cache_info() -> CacheInfo:
     """Hits and misses of `canonical_key`'s cache since import, its current
     size and its bound."""
-    return KeyCacheInfo(_key_cache_hits, _key_cache_misses, len(_key_cache), KEY_CACHE_BOUND)
+    return CacheInfo.of(_canonical_key)
 
 
 def canonical_key(t: Tangle) -> bytes:
     """Canonical byte-string key of the isomorphism class of ``t``."""
-    global _key_cache_hits, _key_cache_misses
-    cached = _key_cache.get(t)
-    if cached is not None:
-        _key_cache.move_to_end(t)
-        _key_cache_hits += 1
-        return cached
-    _key_cache_misses += 1
+    return _canonical_key(t)
+
+
+@functools.lru_cache(maxsize=KEY_CACHE_BOUND)
+def _canonical_key(t: Tangle) -> bytes:
     partner = partner_map(t)
 
     def traverse(u: int, r: int) -> tuple[tuple[Endpoint, ...], dict[int, int]]:
@@ -424,10 +425,6 @@ def canonical_key(t: Tangle) -> bytes:
             component = traverse(u, 0)[1]
             reached.update(component)
             closed_codes.append(min(traverse(w, r)[0] for w in component for r in (0, 2)))
-    key = repr(
+    return repr(
         (t.num_vertices, t.arity, t.loop_count, leg_codes, sorted(closed_codes))
     ).encode("ascii")
-    _key_cache[t] = key
-    if len(_key_cache) > KEY_CACHE_BOUND:
-        _key_cache.popitem(last=False)
-    return key

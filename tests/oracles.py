@@ -3,14 +3,16 @@
 Everything here is deliberately naive: partition functions by explicit
 enumeration of edge colorings, isomorphism by exhaustive search over vertex
 bijections and frame rotations, knot components by depth-first search, move
-sites by scanning every vertex pair and triple, and the greedy contraction
-order by comparing every pair of nodes with freshly sorted ids.
+sites by scanning every vertex pair and triple, the greedy contraction
+order by comparing every pair of nodes with freshly sorted ids, and plan
+execution over a dict of nodes that looks up every axis by id.
 None of it imports the contraction planner or the canonical-form code.
 """
 
 from __future__ import annotations
 
 import itertools
+import string
 
 import numpy as np
 
@@ -191,3 +193,68 @@ def greedy_plan_steps(t: Tangle) -> list[tuple]:
         merged += [i for i in nodes.pop(b) if i not in shared]
         nodes[min(a, b)] = merged
     return steps
+
+
+def _reference_nodes(t: Tangle) -> dict[tuple, list[int]]:
+    """Node id -> axis ids (with repeats for self-loops at a vertex).
+
+    Vertex nodes are ("v", index); identity nodes for leg-to-leg edges are
+    ("m", edge index).
+    """
+    axis = {}
+    legs: dict[tuple, list[int]] = {}
+    for idx, ((va, la), (vb, lb)) in enumerate(sorted(t.edges)):
+        # Sorted pairs put a leg end first, so only ``b`` can face a leg.
+        if va == LEG and vb == LEG:
+            legs[("m", idx)] = [-la, -lb]
+        axis[(vb, lb)] = -la if va == LEG else idx
+        axis[(va, la)] = idx
+    nodes = {("v", v): [axis[(v, s)] for s in range(4)] for v in range(t.num_vertices)}
+    nodes.update(legs)
+    return nodes
+
+
+def _trace_node(array: np.ndarray, ids: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Contract repeated axis ids within one node (self-loops at a vertex)."""
+    if len(set(ids)) == len(ids):
+        return array, ids
+    letters = {}
+    for i in ids:
+        if i not in letters:
+            letters[i] = string.ascii_letters[len(letters)]
+    subscript = "".join(letters[i] for i in ids)
+    kept = [i for i in ids if ids.count(i) == 1]
+    out = "".join(letters[i] for i in kept)
+    return np.einsum(f"{subscript}->{out}", array), kept
+
+
+def reference_execute(entries: np.ndarray, n: int, t: Tangle, plan) -> np.ndarray:
+    """Run ``plan``'s merge steps over a dict of nodes keyed by node id,
+    finding each contracted axis by its id; returns the open tensor over
+    legs 1..k in label order, without the vertexless-loop factor."""
+    raw = _reference_nodes(t)
+    nodes: dict[tuple, tuple[np.ndarray, list[int]]] = {}
+    for key, ids in raw.items():
+        if key[0] == "v":
+            array = entries
+        else:
+            array = np.eye(n, dtype=complex)
+        nodes[key] = _trace_node(array, ids)
+
+    for step in plan.steps:
+        arr_a, ids_a = nodes.pop(step.left)
+        arr_b, ids_b = nodes.pop(step.right)
+        axes_a = [ids_a.index(i) for i in step.contracted]
+        axes_b = [ids_b.index(i) for i in step.contracted]
+        merged = np.tensordot(arr_a, arr_b, axes=(axes_a, axes_b))
+        ids = [i for i in ids_a if i not in step.contracted]
+        ids += [i for i in ids_b if i not in step.contracted]
+        nodes[min(step.left, step.right)] = (merged, ids)
+
+    if not nodes:
+        return np.array(1.0 + 0j)
+    ((array, ids),) = nodes.values()
+    if sorted(ids) != [-l for l in range(t.arity, 0, -1)]:
+        raise AssertionError(f"contraction left unexpected open axes {ids}")
+    order = [ids.index(-l) for l in range(1, t.arity + 1)]
+    return np.ascontiguousarray(np.transpose(array, order)) if ids else array

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import vlink as vl
-from vlink.contraction import execute_plan, plan_contraction
+import vlink.contraction
+from vlink.contraction import PLAN_CACHE_BOUND, execute_plan, plan_contraction
 
-from oracles import greedy_plan_steps, naive_tangle_tensor
+from oracles import greedy_plan_steps, naive_tangle_tensor, reference_execute
 
 
 def _chain_diagram(length: int) -> vl.Tangle:
@@ -122,3 +123,70 @@ def test_plan_matches_greedy_oracle():
             seen["self_loops"] += bool(plan.traced_at_init)
             seen["leg_to_leg"] += any(a[0] == b[0] == vl.LEG for a, b in t.edges)
     assert min(seen.values()) > 0, seen
+
+
+def test_execute_matches_reference_bitwise():
+    # The compiled executor issues the reference's tensordot calls on the
+    # same operands in the same order, so every bit of the result agrees.
+    rng = np.random.default_rng(41)
+    entries = {n: vl.random_model(n, rng).entries for n in (1, 2, 3, 4)}
+    seen = {"self_loops": 0, "leg_to_leg": 0, "loops": 0, "empty": 0}
+    for num_vertices in range(25):
+        for arity in range(0, 7, 2):
+            t = vl.random_tangle(rng, arity, num_vertices, int(rng.integers(0, 2)))
+            n = int(rng.integers(1, 5))
+            plan = plan_contraction(t)
+            got = execute_plan(entries[n], n, t, plan)
+            ref = reference_execute(entries[n], n, t, plan)
+            assert got.shape == ref.shape == (n,) * arity, t
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), t
+            seen["self_loops"] += bool(plan.traced_at_init)
+            seen["leg_to_leg"] += any(a[0] == b[0] == vl.LEG for a, b in t.edges)
+            seen["loops"] += t.loop_count > 0
+            seen["empty"] += not t.edges
+    assert min(seen.values()) > 0, seen
+
+
+def test_execute_rejects_plan_of_another_tangle():
+    t = vl.parse_tangle("x v1 a b c d\nx v2 c d a b")
+    plan = plan_contraction(t)
+    entries = vl.random_model(2, np.random.default_rng(42)).entries
+    for other in (
+        vl.parse_tangle("x v1 a b a b"),
+        vl.parse_tangle("x v1 a b c d\nx v2 c d e f\nleg 1 a\nleg 2 b\nleg 3 e\nleg 4 f"),
+    ):
+        with pytest.raises(ValueError, match="cannot contract"):
+            execute_plan(entries, 2, other, plan)
+
+
+@pytest.fixture
+def empty_plan_cache():
+    """An empty plan cache, emptied again afterwards."""
+    vlink.contraction._plan.cache_clear()
+    yield
+    vlink.contraction._plan.cache_clear()
+
+
+def test_plan_cache_hits_equal_tangles_and_stays_bounded(empty_plan_cache):
+    t = vl.parse_tangle("x v1 a b c d\nx v2 c d a b")
+    copy = vl.build_tangle(t.num_vertices, sorted(t.edges), t.loop_count)
+    assert copy == t and copy is not t
+    plan = plan_contraction(t)
+    assert vl.plan_cache_info() == (0, 1, 1, PLAN_CACHE_BOUND)
+    assert plan_contraction(copy) is plan
+    assert vl.plan_cache_info() == (1, 1, 1, PLAN_CACHE_BOUND)
+    # Vertexless diagrams with distinct loop counts: distinct and cheap to plan.
+    flood = range(PLAN_CACHE_BOUND + 5)
+    oldest = plan_contraction(vl.loop_diagram(0))
+    for count in flood[1:]:
+        plan_contraction(vl.loop_diagram(count))
+        if count % 100 == 0:
+            assert plan_contraction(t) is plan  # a hit keeps it recently used
+        assert vl.plan_cache_info().size <= PLAN_CACHE_BOUND
+    hits = 1 + len(flood[100::100])
+    assert vl.plan_cache_info() == (hits, 1 + len(flood), PLAN_CACHE_BOUND, PLAN_CACHE_BOUND)
+    assert plan_contraction(copy) is plan
+    # The oldest loop diagram was evicted; it is planned again, equally.
+    again = plan_contraction(vl.loop_diagram(0))
+    assert again == oldest and again is not oldest
+    assert vl.plan_cache_info() == (hits + 1, 2 + len(flood), PLAN_CACHE_BOUND, PLAN_CACHE_BOUND)

@@ -1,5 +1,3 @@
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -280,9 +278,15 @@ def test_canonical_key_large_and_vertex_transitive():
         assert vl.canonical_key(ring) != vl.canonical_key(shifted)
 
 
-def test_canonical_key_cache_is_bounded(monkeypatch):
-    # A fresh cache, put back after the test, so the flood below dies with it.
-    monkeypatch.setattr(vlink.diagram, "_key_cache", OrderedDict())
+@pytest.fixture
+def empty_key_cache():
+    """An empty key cache, emptied again afterwards so a test's flood dies with it."""
+    vlink.diagram._canonical_key.cache_clear()
+    yield
+    vlink.diagram._canonical_key.cache_clear()
+
+
+def test_canonical_key_cache_is_bounded(empty_key_cache):
     rng = np.random.default_rng(8)
     early = [
         vl.random_tangle(rng, 2 * int(rng.integers(0, 3)), int(rng.integers(1, 6)))
@@ -291,6 +295,7 @@ def test_canonical_key_cache_is_bounded(monkeypatch):
     keys = [vl.canonical_key(t) for t in early]
     favourite = early[0]
     bound = vl.key_cache_info().bound
+    assert bound == vlink.diagram.KEY_CACHE_BOUND
     # Vertexless diagrams with distinct loop counts: distinct and cheap to key.
     for count in range(bound + 1):
         vl.canonical_key(vl.loop_diagram(count))
