@@ -33,6 +33,7 @@ from .model import (
     partition_function,
     qt_evaluate,
     random_model,
+    tangle_tensor,
 )
 from .moves import check_algebraic, random_move
 
@@ -182,8 +183,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         else:
             tangle = load_tangle(path)
             if tangle.arity:
-                from .model import tangle_tensor
-
                 value = tangle_tensor(model, tangle)
             else:
                 value = partition_function(model, tangle)

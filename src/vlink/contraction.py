@@ -16,10 +16,15 @@ always exactly ``-1..-k``.
 A plan is compiled when it is made: besides the merge order it holds, for
 each initial node in id order, whether it is an identity matrix, the vertex
 tensor, or the vertex tensor with its self-loops traced (an einsum
-subscript); for each merge, the nodes' positions in that order and the
-``tensordot`` axes; and the transpose that puts the last node's axes in leg
-order.  `execute_plan` only replays those calls.  Plans are cached per
-tangle, least recently used first out, at most `PLAN_CACHE_BOUND` of them.
+subscript); for each merge, the nodes' positions in that order and what
+``np.tensordot`` would work out on every call (each operand's axis
+permutation, free axes around the contracted ones, and the three axis
+counts); and the transpose that puts the last node's axes in leg order.
+`execute_plan` only replays those transpose/reshape/``np.dot`` steps, which
+are ``tensordot``'s own operations in its order, so results are
+bit-identical to ``tensordot``'s.  Plans do not depend on the state count
+n.  Plans are cached per tangle, least recently used first out, at most
+`PLAN_CACHE_BOUND` of them.
 """
 
 from __future__ import annotations
@@ -66,8 +71,9 @@ class _Compiled(NamedTuple):
     # Per initial node: None for an identity matrix, "" for the vertex
     # tensor, else the einsum subscripts tracing its self-loops.
     init: tuple[str | None, ...]
-    # Per merge: (left position, right position, left axes, right axes).
-    steps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]
+    # Per merge: (left position, right position, left permutation, right
+    # permutation, free left axes, contracted axes, free right axes).
+    steps: tuple[tuple[int, int, tuple[int, ...], tuple[int, ...], int, int, int], ...]
     transpose: tuple[int, ...]
 
 
@@ -159,15 +165,20 @@ def _plan(t: Tangle) -> ContractionPlan:
         shared = tuple(sorted(open_ids[i] & open_ids[j]))
         steps.append(ContractionStep(keys[i], keys[j], shared, arity))
         left, right = axes_of[i], axes_of[j]
+        free_left = [x for x in left if x not in shared]
+        free_right = [x for x in right if x not in shared]
         compiled_steps.append(
             (
                 positions[i],
                 positions[j],
-                tuple(left.index(x) for x in shared),
-                tuple(right.index(x) for x in shared),
+                tuple(left.index(x) for x in free_left + list(shared)),
+                tuple(right.index(x) for x in list(shared) + free_right),
+                len(free_left),
+                len(shared),
+                len(free_right),
             )
         )
-        axes_of[i] = [x for x in left + right if x not in shared]
+        axes_of[i] = free_left + free_right
         open_ids[i] ^= open_ids[j]
         del keys[j], open_ids[j], axes_of[j], positions[j]
         peak = max(peak, arity)
@@ -194,8 +205,10 @@ def execute_plan(entries: np.ndarray, n: int, t: Tangle, plan: ContractionPlan) 
         np.eye(n, dtype=complex) if spec is None else (np.einsum(spec, entries) if spec else entries)
         for spec in c.init
     ]
-    for a, b, axes_a, axes_b in c.steps:
-        arrays[a] = np.tensordot(arrays[a], arrays[b], axes=(axes_a, axes_b))
+    for a, b, perm_a, perm_b, free_a, shared, free_b in c.steps:
+        left = arrays[a].transpose(perm_a).reshape(n**free_a, n**shared)
+        right = arrays[b].transpose(perm_b).reshape(n**shared, n**free_b)
+        arrays[a] = np.dot(left, right).reshape((n,) * (free_a + free_b))
         arrays[b] = None
     if not arrays:
         return np.array(1.0 + 0j)

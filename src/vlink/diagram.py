@@ -103,6 +103,13 @@ class Tangle:
                 f"edges do not form a perfect matching on the endpoint set"
                 f" (missing {missing!r}, unexpected {extra!r})"
             )
+        # Tangles key the canonical-key and plan caches, so hash once.
+        object.__setattr__(
+            self, "_hash", hash((self.num_vertices, self.arity, self.edges, self.loop_count))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_diagram(self) -> bool:

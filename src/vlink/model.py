@@ -210,34 +210,82 @@ def random_orthogonal(
 # Model files: {"n": ..., "entries": [{"i","j","k","l","re","im"}, ...]}
 # with 1-based indices; omitted entries are zero.
 
+_INDEX_KEYS = ("i", "j", "k", "l")
+
+
+def _integer(value) -> int:
+    """``int(value)`` for integral numbers and digit strings; a boolean or a
+    number with a fractional part is a TypeError, as an index would be."""
+    if isinstance(value, bool) or (isinstance(value, float) and value != int(value)):
+        raise TypeError(f"{json.dumps(value)} is not an integer")
+    return int(value)
+
 
 def load_model(path: str, project: bool = False) -> VertexModel:
-    """Load a model from JSON; validates swap invariance unless ``project``."""
+    """Load a model from JSON; validates swap invariance unless ``project``.
+
+    ``n`` and the indices ``i, j, k, l`` are integers (digit strings are
+    accepted; booleans and fractions are not), the indices 1-based.
+    ``re`` and ``im`` default to 0, entries left out are zero, and of two
+    entries at the same index the later one wins.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        n = int(doc["n"])
-        items = doc.get("entries", [])
-    except (KeyError, TypeError) as exc:
+        n = _integer(doc["n"])
+        items = list(doc.get("entries", []))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from exc
     if n < 1:
         raise ValueError(f"{path}: state count n must be >= 1")
     entries = np.zeros((n,) * 4, dtype=complex)
-    for pos, item in enumerate(items):
-        try:
-            idx = tuple(int(item[key]) - 1 for key in ("i", "j", "k", "l"))
-            value = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed entry #{pos} ({exc})") from exc
-        if not all(0 <= x < n for x in idx):
-            raise ValueError(f"{path}: entry #{pos} index out of range 1..{n}")
-        entries[idx] = value
+    idx, values = _gather(path, items, n)
+    # Flat positions, reversed so that np.unique's first occurrence is the
+    # file's last: a fancy-index store does not say which duplicate wins.
+    flat = (idx @ np.array([n**3, n**2, n, 1], dtype=np.int64))[::-1]
+    flat, last = np.unique(flat, return_index=True)
+    entries.reshape(-1)[flat] = values[::-1][last]
     if project:
         return symmetrize(entries)
     try:
         return VertexModel(n, entries)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _gather(path: str, items: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based indices, shape (m, 4), and values of the m entries.
+
+    Entries whose indices are all ints and whose values are ints or floats
+    are converted and range-checked in one batch.  Anything else runs the
+    per-entry loop, which converts digit strings and names the first bad
+    entry.
+    """
+    try:
+        raw = [item[key] for item in items for key in _INDEX_KEYS]
+        re = [item.get("re", 0.0) for item in items]
+        im = [item.get("im", 0.0) for item in items]
+        if set(map(type, raw)) <= {int} and set(map(type, re + im)) <= {int, float}:
+            idx = np.fromiter(raw, dtype=np.int64, count=len(raw)).reshape(-1, 4) - 1
+            if not idx.size or (idx.min() >= 0 and idx.max() < n):
+                values = np.empty(len(re), dtype=complex)
+                values.real = re
+                values.imag = im
+                return idx, values
+    except (KeyError, TypeError, OverflowError):
+        pass
+    indices, values = [], []
+    for pos, item in enumerate(items):
+        try:
+            index = tuple(_integer(item[key]) - 1 for key in _INDEX_KEYS)
+            value = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: malformed entry #{pos} ({exc})") from exc
+        if not all(0 <= x < n for x in index):
+            raise ValueError(f"{path}: entry #{pos} index out of range 1..{n}")
+        indices.append(index)
+        values.append(value)
+    return np.array(indices, dtype=np.int64).reshape(-1, 4), np.array(values, dtype=complex)
 
 
 def model_to_json(model: VertexModel) -> str:

@@ -5,18 +5,21 @@ enumeration of edge colorings, isomorphism by exhaustive search over vertex
 bijections and frame rotations, knot components by depth-first search, move
 sites by scanning every vertex pair and triple, the greedy contraction
 order by comparing every pair of nodes with freshly sorted ids, and plan
-execution over a dict of nodes that looks up every axis by id.
-None of it imports the contraction planner or the canonical-form code.
+execution over a dict of nodes that looks up every axis by id, and model
+files read by one Python store per entry.
+None of it imports the contraction planner, the canonical-form code or the
+model-file loader.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import string
 
 import numpy as np
 
-from vlink import LEG, Tangle
+from vlink import LEG, Tangle, VertexModel, symmetrize
 
 
 def naive_tangle_tensor(entries: np.ndarray, n: int, t: Tangle) -> np.ndarray:
@@ -258,3 +261,34 @@ def reference_execute(entries: np.ndarray, n: int, t: Tangle, plan) -> np.ndarra
         raise AssertionError(f"contraction left unexpected open axes {ids}")
     order = [ids.index(-l) for l in range(1, t.arity + 1)]
     return np.ascontiguousarray(np.transpose(array, order)) if ids else array
+
+
+def reference_load_model(path: str, project: bool = False) -> VertexModel:
+    """Read a model file by one Python store per entry, in file order, so a
+    later duplicate overwrites an earlier one; raises ValueError naming the
+    first malformed or out-of-range entry."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    try:
+        n = int(doc["n"])
+        items = doc.get("entries", [])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed model file ({exc})") from exc
+    if n < 1:
+        raise ValueError(f"{path}: state count n must be >= 1")
+    entries = np.zeros((n,) * 4, dtype=complex)
+    for pos, item in enumerate(items):
+        try:
+            idx = tuple(int(item[key]) - 1 for key in ("i", "j", "k", "l"))
+            value = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed entry #{pos} ({exc})") from exc
+        if not all(0 <= x < n for x in idx):
+            raise ValueError(f"{path}: entry #{pos} index out of range 1..{n}")
+        entries[idx] = value
+    if project:
+        return symmetrize(entries)
+    try:
+        return VertexModel(n, entries)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -126,11 +126,12 @@ def test_plan_matches_greedy_oracle():
 
 
 def test_execute_matches_reference_bitwise():
-    # The compiled executor issues the reference's tensordot calls on the
-    # same operands in the same order, so every bit of the result agrees.
+    # The compiled executor performs the transposes, reshapes and dots of
+    # the reference's tensordot calls on the same operands in the same
+    # order, so every bit of the result agrees.
     rng = np.random.default_rng(41)
     entries = {n: vl.random_model(n, rng).entries for n in (1, 2, 3, 4)}
-    seen = {"self_loops": 0, "leg_to_leg": 0, "loops": 0, "empty": 0}
+    seen = {"self_loops": 0, "leg_to_leg": 0, "loops": 0, "empty": 0, "outer": 0}
     for num_vertices in range(25):
         for arity in range(0, 7, 2):
             t = vl.random_tangle(rng, arity, num_vertices, int(rng.integers(0, 2)))
@@ -144,6 +145,8 @@ def test_execute_matches_reference_bitwise():
             seen["leg_to_leg"] += any(a[0] == b[0] == vl.LEG for a, b in t.edges)
             seen["loops"] += t.loop_count > 0
             seen["empty"] += not t.edges
+            # A merge with no shared axis is an outer product: (n**fa, 1) by (1, n**fb).
+            seen["outer"] += any(not step.contracted for step in plan.steps)
     assert min(seen.values()) > 0, seen
 
 

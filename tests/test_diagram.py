@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -51,6 +53,27 @@ def test_tangle_is_hashable_and_frozen():
     assert hash(t) == hash(vl.parse_tangle("x v1 a b a b"))
     with pytest.raises(AttributeError):
         t.loop_count = 5
+
+
+def test_equal_tangles_built_differently_hash_equal():
+    # The hash is computed once per tangle; equal tangles must still agree
+    # on it whichever route built them.
+    text = "x v1 a b c d\nx v2 c d e f\nleg 1 a\nleg 2 b\nleg 3 e\nleg 4 f"
+    parsed = vl.parse_tangle(text)
+    built = vl.build_tangle(2, [(b, a) for a, b in sorted(parsed.edges, reverse=True)])
+    assert built == parsed and hash(built) == hash(parsed)
+    # The value is the field tuple's, so dict and set orders do not change.
+    assert hash(parsed) == hash((2, 4, parsed.edges, 0))
+    assert {parsed: 1}[built] == 1
+
+    crossing = vl.parse_tangle("x v1 a b c d\nleg 1 a\nleg 2 b\nleg 3 c\nleg 4 d")
+    glued = vl.glue(crossing, vl.matching_tangle([(1, 3), (2, 4)]))
+    by_hand = vl.Tangle(1, 0, frozenset({((0, 0), (0, 2)), ((0, 1), (0, 3))}))
+    assert glued == by_hand and hash(glued) == hash(by_hand)
+
+    # A copy with a changed field hashes as a tangle built with that field.
+    looped = dataclasses.replace(parsed, loop_count=2)
+    assert hash(looped) == hash(vl.parse_tangle("loops 2\n" + text))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import pytest
 
 import vlink as vl
 
-from oracles import dfs_knot_components, naive_tangle_tensor
+from vlink.cli import main
+
+from oracles import dfs_knot_components, naive_tangle_tensor, reference_load_model
 
 
 # ---------------------------------------------------------------------------
@@ -270,3 +272,156 @@ def test_model_json_validates_swap_invariance(tmp_path):
     projected = vl.load_model(str(path), project=True)
     assert projected.entries[0, 0, 1, 1] == 0.5
     assert projected.entries[1, 1, 0, 0] == 0.5
+
+
+def _write_model(tmp_path, name, doc) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _items(cells, values, rng=None, spell_indices=False):
+    """Entry dicts for zero-based ``cells``; with ``rng``, each value (and
+    with ``spell_indices`` each index) is written in one of the spellings
+    the loader accepts."""
+    items = []
+    for cell, z in zip(cells, values):
+        item = {key: int(x) + 1 for key, x in zip("ijkl", cell)}
+        item["re"], item["im"] = float(z.real), float(z.imag)
+        if spell_indices:
+            for key in "ijkl":
+                item[key] = [item[key], str(item[key]), float(item[key])][rng.integers(3)]
+        if rng is not None:
+            for key in ("re", "im"):
+                pick = rng.integers(3)
+                if pick == 1:
+                    del item[key]
+                elif pick == 2:
+                    item[key] = int(rng.integers(-3, 4))
+        items.append(item)
+    return items
+
+
+def _valid_model_files(tmp_path):
+    """Seeded valid model files, as (path, project) pairs."""
+    rng = np.random.default_rng(12)
+    files = []
+    for n in (1, 2, 3, 4):
+        model = vl.random_model(n, rng)
+        dense = json.loads(vl.model_to_json(model))
+        files.append((_write_model(tmp_path, f"dense{n}.json", dense), False))
+        # Sparse and swap-invariant: each kept cell with its swap partner.
+        cells = [c for c in np.ndindex((n,) * 4) if rng.random() < 0.25]
+        cells += [(k, l, i, j) for i, j, k, l in cells]
+        items = _items(cells, [model.entries[c] for c in cells])
+        files.append((_write_model(tmp_path, f"sparse{n}.json", {"n": n, "entries": items}), False))
+        # Duplicates: stale values first; the file's later entries win.
+        stale = [dict(item, re=float(rng.standard_normal())) for item in items[:6]]
+        doc = {"n": n, "entries": stale + items}
+        files.append((_write_model(tmp_path, f"dup{n}.json", doc), False))
+        # Random cells, colliding often, in every accepted spelling; projected.
+        cells = [tuple(c) for c in rng.integers(0, n, size=(3 * n**3, 4))]
+        values = rng.standard_normal(len(cells)) + 1j * rng.standard_normal(len(cells))
+        for tag, spelled, spell_indices in (
+            ("plain", None, False),
+            ("values", rng, False),
+            ("spelled", rng, True),
+        ):
+            doc = {"n": n, "entries": _items(cells, values, spelled, spell_indices)}
+            files.append((_write_model(tmp_path, f"{tag}{n}.json", doc), True))
+    files.append((_write_model(tmp_path, "empty.json", {"n": 3, "entries": []}), False))
+    files.append((_write_model(tmp_path, "bare.json", {"n": 2}), False))
+    doc = {"n": "2", "entries": [{"i": "1", "j": 2, "k": "1", "l": 2, "re": 3}]}
+    files.append((_write_model(tmp_path, "strings.json", doc), False))
+    return files
+
+
+def test_load_model_matches_reference_bitwise(tmp_path):
+    files = _valid_model_files(tmp_path)
+    for path, project in files:
+        got = vl.load_model(path, project=project)
+        ref = reference_load_model(path, project=project)
+        assert got.n == ref.n, path
+        assert got.entries.tobytes() == ref.entries.tobytes(), path
+    empty = vl.load_model(str(tmp_path / "empty.json"))
+    assert empty.entries.shape == (3,) * 4 and not empty.entries.any()
+
+
+def _malformed_model_files(tmp_path):
+    """Seeded malformed files, as (path, project) pairs."""
+    one = {"i": 1, "j": 1, "k": 1, "l": 1, "re": 1.0}
+    rng = np.random.default_rng(13)
+    valid = [{key: int(x) for key, x in zip("ijkl", rng.integers(1, 4, 4))} for _ in range(100)]
+    docs = {
+        "no_n": {"entries": [one]},
+        "not_object": [one],
+        "n_zero": {"n": 0, "entries": []},
+        "missing_key": {"n": 2, "entries": [one, {"i": 1, "j": 1, "k": 1, "re": 1.0}]},
+        "text_re": {"n": 2, "entries": [dict(one, re="one")]},
+        "index_zero": {"n": 2, "entries": [dict(one, k=0)]},
+        "index_past_n": {"n": 2, "entries": [one, dict(one, l=3)]},
+        "index_past_int64": {"n": 2, "entries": [one, dict(one, i=2**70)]},
+        "index_int64_min": {"n": 2, "entries": [one, dict(one, j=-(2**63))]},
+        "not_dict": {"n": 2, "entries": [one, 7]},
+        "list_entry": {"n": 2, "entries": [[1, 1, 1, 1]]},
+        "late_out_of_range": {"n": 3, "entries": valid + [dict(one, j=4)]},
+        "first_bad_wins": {"n": 2, "entries": [one, dict(one, i=3), {"i": 1}]},
+    }
+    files = [(_write_model(tmp_path, f"{name}.json", doc), False) for name, doc in docs.items()]
+    files.append((_write_model(tmp_path, "late_project.json", docs["late_out_of_range"]), True))
+    asym = {"n": 2, "entries": [dict(one, k=2, l=2)]}
+    files.append((_write_model(tmp_path, "asym.json", asym), False))
+    return files
+
+
+def test_load_model_errors_match_reference(tmp_path):
+    messages = {}
+    for path, project in _malformed_model_files(tmp_path):
+        with pytest.raises(ValueError) as want:
+            reference_load_model(path, project=project)
+        with pytest.raises(ValueError) as got:
+            vl.load_model(path, project=project)
+        assert str(got.value) == str(want.value)
+        messages[path, project] = str(got.value)
+    for name, project in (("late_out_of_range", False), ("late_project", True)):
+        late = str(tmp_path / f"{name}.json")
+        assert messages[late, project] == f"{late}: entry #100 index out of range 1..3"
+    path = str(tmp_path / "asym.json")
+    assert "swap-invariant" in messages[path, False]
+    got, ref = vl.load_model(path, project=True), reference_load_model(path, project=True)
+    assert got.entries.tobytes() == ref.entries.tobytes()
+
+
+_ONE = {"i": 1, "j": 1, "k": 1, "l": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 2.7, "entries": []}, "malformed model file (2.7 is not an integer)"),
+        ({"n": True, "entries": []}, "malformed model file (true is not an integer)"),
+        ({"n": 2, "entries": [dict(_ONE, i=1.9)]}, "malformed entry #0 (1.9 is not an integer)"),
+        ({"n": 2, "entries": [_ONE, dict(_ONE, l=True)]}, "malformed entry #1 (true is not an integer)"),
+        ({"n": 2, "entries": 5}, "malformed model file ('int' object is not iterable)"),
+        ({"n": float("inf")}, "malformed model file (cannot convert float infinity to integer)"),
+        (
+            {"n": 2, "entries": [dict(_ONE, re=10**400)]},
+            "malformed entry #0 (int too large to convert to float)",
+        ),
+    ],
+)
+def test_load_model_rejects_non_integral_and_unconvertible_values(tmp_path, capsys, doc, message):
+    path = _write_model(tmp_path, "m.json", doc)
+    with pytest.raises(ValueError) as info:
+        vl.load_model(path)
+    assert str(info.value) == f"{path}: {message}"
+    tangle = tmp_path / "loop.vld"
+    tangle.write_text("loops 1\n")
+    assert main(["eval", "--model", path, str(tangle)]) == 1
+    assert capsys.readouterr().err == f"vlink: error: {path}: {message}\n"
+
+
+def test_load_model_accepts_integral_numbers(tmp_path):
+    doc = {"n": 2.0, "entries": [{"i": 2.0, "j": "1", "k": 2, "l": 1, "re": 1.5}]}
+    model = vl.load_model(_write_model(tmp_path, "m.json", doc))
+    assert model.n == 2 and model.entries[1, 0, 1, 0] == 1.5
