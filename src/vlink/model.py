@@ -234,7 +234,7 @@ def load_model(path: str, project: bool = False) -> VertexModel:
     try:
         n = _integer(doc["n"])
         items = list(doc.get("entries", []))
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from exc
     if n < 1:
         raise ValueError(f"{path}: state count n must be >= 1")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -123,6 +127,82 @@ def test_plan_matches_greedy_oracle():
             seen["self_loops"] += bool(plan.traced_at_init)
             seen["leg_to_leg"] += any(a[0] == b[0] == vl.LEG for a, b in t.edges)
     assert min(seen.values()) > 0, seen
+
+
+def _disjoint(parts: list[vl.Tangle]) -> vl.Tangle:
+    """Side-by-side union of tangles, legs kept as labelled."""
+    edges, shift = [], 0
+    for part in parts:
+        for edge in part.edges:
+            edges.append(tuple(e if e[0] == vl.LEG else (e[0] + shift, e[1]) for e in edge))
+        shift += part.num_vertices
+    return vl.build_tangle(shift, edges, sum(part.loop_count for part in parts))
+
+
+def test_plan_matches_greedy_oracle_at_eval_sizes():
+    # Closed diagrams of the sizes `vlink eval` meets, and unions of two or
+    # more closed components (and at most one open one): each closed
+    # component ends as an arity-0 node, and merging it is an outer product.
+    # Executed tensors agree bitwise.
+    rng = np.random.default_rng(51)
+    entries = {n: vl.random_model(n, rng).entries for n in (2, 3)}
+    pool = [
+        vl.random_tangle(rng, 0, int(rng.integers(12, 25)), int(rng.integers(0, 2)))
+        for _ in range(24)
+    ]
+    for _ in range(12):
+        closed = int(rng.integers(2, 5))
+        parts = [vl.random_tangle(rng, 0, int(rng.integers(1, 7))) for _ in range(closed)]
+        parts.append(vl.random_tangle(rng, 2 * int(rng.integers(0, 3)), int(rng.integers(0, 5))))
+        pool.append(_disjoint(parts))
+    seen = {"large": 0, "legs": 0, "outer": 0, "scalar": 0}
+    for t in pool:
+        plan = plan_contraction(t)
+        steps = [(s.left, s.right, s.contracted, s.result_arity) for s in plan.steps]
+        assert steps == greedy_plan_steps(t), t
+        n = 3 if t.num_vertices <= 14 else 2
+        got = execute_plan(entries[n], n, t, plan)
+        ref = reference_execute(entries[n], n, t, plan)
+        assert got.shape == ref.shape == (n,) * t.arity, t
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), t
+        seen["large"] += t.num_vertices >= 12 and not t.arity
+        seen["legs"] += t.arity > 0
+        seen["outer"] += any(not s.contracted for s in plan.steps)
+        # A merge with an operand of no open axes: left or right arity 0.
+        seen["scalar"] += any(
+            fa + k == 0 or k + fb == 0 for _, _, _, _, fa, k, fb in plan.compiled.steps
+        )
+    assert min(seen.values()) > 0, seen
+
+
+_PLAN_DIGEST = """
+import hashlib
+import numpy as np
+import vlink as vl
+rng = np.random.default_rng(61)
+digest = hashlib.sha256()
+for num_vertices in range(25):
+    for arity in range(0, 7, 2):
+        t = vl.random_tangle(rng, arity, num_vertices, int(rng.integers(0, 2)))
+        plan = vl.plan_contraction(t)
+        digest.update(repr(plan).encode() + repr(plan.compiled).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_plans_do_not_depend_on_hash_seed():
+    path = os.pathsep.join(sys.path)  # the child imports this vlink
+    digests = set()
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PLAN_DIGEST],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            check=True,
+        )
+        digests.add(proc.stdout)
+    assert len(digests) == 1, digests
 
 
 def test_execute_matches_reference_bitwise():
