@@ -404,12 +404,12 @@ _ONE = {"i": 1, "j": 1, "k": 1, "l": 1}
         ({"n": 2, "entries": [_ONE, dict(_ONE, l=True)]}, "malformed entry #1 (true is not an integer)"),
         ({"n": 2, "entries": 5}, "malformed model file ('int' object is not iterable)"),
         ({"n": float("inf")}, "malformed model file (cannot convert float infinity to integer)"),
-        ({"n": float("nan")}, "malformed model file (cannot convert float NaN to integer)"),
-        ({"n": "two"}, "malformed model file (invalid literal for int() with base 10: 'two')"),
         (
             {"n": 2, "entries": [dict(_ONE, re=10**400)]},
             "malformed entry #0 (int too large to convert to float)",
         ),
+        ({"n": float("nan")}, "malformed model file (cannot convert float NaN to integer)"),
+        ({"n": "two"}, "malformed model file (invalid literal for int() with base 10: 'two')"),
     ],
 )
 def test_load_model_rejects_non_integral_and_unconvertible_values(tmp_path, capsys, doc, message):
