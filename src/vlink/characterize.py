@@ -14,8 +14,16 @@ functions:
 * the derivative tangle reproduces directional derivatives of the partition
   function, checked against central finite differences.
 
-Tangle enumeration is exhaustive generation of endpoint matchings with
-canonical deduplication, deterministic by canonical key.
+Tangle enumeration walks the order in which `canonical_key` reads a tangle
+(legs 1..k, then each reached vertex's slots 0..3) and at each open endpoint
+chooses its partner, so each candidate comes out already in that labelling.
+A class whose every vertex is joined to a leg is built once; a closed
+component can come out once per start vertex and rotation and per order
+among the other closed components, and canonical keys remove those repeats.
+The cost is one `Tangle` and one key per candidate: (k, max_vertices) =
+(4, 3) makes 51,540 candidates for 46,374 classes, where a walk over every
+perfect matching of up to 16 endpoints makes over two million.  The result
+is sorted by canonical key.
 """
 
 from __future__ import annotations
@@ -57,21 +65,87 @@ __all__ = [
 ENUMERATION_ENDPOINT_BUDGET = 16
 
 
-def _matchings(points: list[Endpoint]):
-    """All perfect matchings of an even-sized point list."""
-    if not points:
-        yield []
-        return
-    first = points[0]
-    for i in range(1, len(points)):
-        rest = points[1:i] + points[i + 1 :]
-        for sub in _matchings(rest):
-            yield [(first, points[i])] + sub
+def _candidates(k: int, max_vertices: int) -> list[Tangle]:
+    """Loop-free k-tangles with at most ``max_vertices`` vertices, each in
+    the labelling `canonical_key` reads: at least one per isomorphism class,
+    and exactly one per class whose every vertex is joined to a leg.
+
+    The walk reads legs 1..k in order and pairs each unmatched one with a
+    later unmatched leg or with a fresh vertex, which takes the next id and
+    arrives at slot 0 or 1.  Before the next leg, the slots of every reached
+    vertex are read in id order, 0..3; each open one is paired with an
+    unmatched leg, a later open slot, or a fresh vertex arriving at slot 0
+    or 1.  Once every leg is matched, the tangle is emitted and each further
+    closed component starts at a fresh vertex's slot 0.  Only closed
+    components (from their 2c starts and in any order) can repeat a class.
+    Every open endpoint always has a partner, so every branch emits.
+    """
+    slots = [(v, s) for v in range(max_vertices) for s in range(4)]
+    legs = [(LEG, i) for i in range(k + 1)]  # legs[0] is unused
+    slot_open = [True] * len(slots)
+    leg_open = [False] + [True] * k
+    out: list[Tangle] = []
+
+    def walk(p: int, nv: int, leg: int, edges: tuple) -> None:
+        # Slots below p and legs below leg are matched; nv vertices exist.
+        end = 4 * nv
+        while p < end and not slot_open[p]:
+            p += 1
+        if p < end:
+            here = slots[p]
+            slot_open[p] = False
+            for j in range(leg, k + 1):
+                if leg_open[j]:
+                    leg_open[j] = False
+                    walk(p + 1, nv, leg, edges + ((legs[j], here),))
+                    leg_open[j] = True
+            for q in range(p + 1, end):
+                if slot_open[q]:
+                    slot_open[q] = False
+                    walk(p + 1, nv, leg, edges + ((here, slots[q]),))
+                    slot_open[q] = True
+            if nv < max_vertices:
+                for q in (end, end + 1):
+                    slot_open[q] = False
+                    walk(p + 1, nv + 1, leg, edges + ((here, slots[q]),))
+                    slot_open[q] = True
+            slot_open[p] = True
+            return
+        while leg <= k and not leg_open[leg]:
+            leg += 1
+        if leg <= k:
+            here = legs[leg]
+            leg_open[leg] = False
+            for j in range(leg + 1, k + 1):
+                if leg_open[j]:
+                    leg_open[j] = False
+                    walk(p, nv, leg + 1, edges + ((here, legs[j]),))
+                    leg_open[j] = True
+            if nv < max_vertices:
+                for q in (end, end + 1):
+                    slot_open[q] = False
+                    walk(p, nv + 1, leg + 1, edges + ((here, slots[q]),))
+                    slot_open[q] = True
+            leg_open[leg] = True
+            return
+        out.append(Tangle(nv, k, frozenset(edges), 0))
+        if nv < max_vertices:
+            walk(end, nv + 1, leg, edges)
+
+    walk(0, 0, 1, ())
+    # `walk` refers to itself through its closure; unbinding it frees the
+    # walk and its state now instead of at the next garbage collection.
+    del walk
+    return out
 
 
 def enumerate_tangles(k: int, max_vertices: int) -> list[Tangle]:
     """All loop-free k-tangles with at most ``max_vertices`` vertices, up to
     isomorphism, sorted by canonical key."""
+    if k < 0:
+        raise ValueError(f"arity must be nonnegative, got {k}")
+    if max_vertices < 0:
+        raise ValueError(f"max_vertices must be nonnegative, got {max_vertices}")
     if k % 2:
         raise ValueError("arity must be even")
     if k + 4 * max_vertices > ENUMERATION_ENDPOINT_BUDGET:
@@ -80,14 +154,8 @@ def enumerate_tangles(k: int, max_vertices: int) -> list[Tangle]:
             f"> {ENUMERATION_ENDPOINT_BUDGET}"
         )
     seen: dict[bytes, Tangle] = {}
-    for v in range(max_vertices + 1):
-        points = [(LEG, i) for i in range(1, k + 1)]
-        points += [(vv, s) for vv in range(v) for s in range(4)]
-        for matching in _matchings(points):
-            t = build_tangle(v, matching, 0)
-            key = canonical_key(t)
-            if key not in seen:
-                seen[key] = t
+    for t in _candidates(k, max_vertices):
+        seen.setdefault(canonical_key(t), t)
     return [seen[key] for key in sorted(seen)]
 
 
@@ -145,6 +213,10 @@ def kernel_probe(
     tangle on 2n legs (one size too small) to random 2n-tangles and records
     the largest magnitude, which should be far from zero.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if max_vertices < 0:
+        raise ValueError(f"max_vertices must be nonnegative, got {max_vertices}")
     residuals = []
     scales = []
     norm = model.norm

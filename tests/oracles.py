@@ -5,10 +5,12 @@ enumeration of edge colorings, isomorphism by exhaustive search over vertex
 bijections and frame rotations, knot components by depth-first search, move
 sites by scanning every vertex pair and triple, the greedy contraction
 order by comparing every pair of nodes with freshly sorted ids, and plan
-execution over a dict of nodes that looks up every axis by id, and model
-files read by one Python store per entry.
-None of it imports the contraction planner, the canonical-form code or the
-model-file loader.
+execution over a dict of nodes that looks up every axis by id, model
+files read by one Python store per entry, and the tangle basis by walking
+every perfect matching of the endpoints.
+None of it imports the contraction planner or the model-file loader.  The
+basis walk alone deduplicates by `canonical_key`, which
+`brute_isomorphic` checks elsewhere: it judges the generation, not the key.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import string
 
 import numpy as np
 
-from vlink import LEG, Tangle, VertexModel, symmetrize
+from vlink import LEG, Tangle, VertexModel, build_tangle, canonical_key, symmetrize
+from vlink.characterize import ENUMERATION_ENDPOINT_BUDGET
+from vlink.diagram import Endpoint
 
 
 def naive_tangle_tensor(entries: np.ndarray, n: int, t: Tangle) -> np.ndarray:
@@ -292,3 +296,37 @@ def reference_load_model(path: str, project: bool = False) -> VertexModel:
         return VertexModel(n, entries)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _matchings(points: list[Endpoint]):
+    """All perfect matchings of an even-sized point list."""
+    if not points:
+        yield []
+        return
+    first = points[0]
+    for i in range(1, len(points)):
+        rest = points[1:i] + points[i + 1 :]
+        for sub in _matchings(rest):
+            yield [(first, points[i])] + sub
+
+
+def reference_enumerate_tangles(k: int, max_vertices: int) -> list[Tangle]:
+    """All loop-free k-tangles with at most ``max_vertices`` vertices, up to
+    isomorphism, sorted by canonical key."""
+    if k % 2:
+        raise ValueError("arity must be even")
+    if k + 4 * max_vertices > ENUMERATION_ENDPOINT_BUDGET:
+        raise ValueError(
+            f"endpoint budget exceeded: k + 4*max_vertices = {k + 4 * max_vertices} "
+            f"> {ENUMERATION_ENDPOINT_BUDGET}"
+        )
+    seen: dict[bytes, Tangle] = {}
+    for v in range(max_vertices + 1):
+        points = [(LEG, i) for i in range(1, k + 1)]
+        points += [(vv, s) for vv in range(v) for s in range(4)]
+        for matching in _matchings(points):
+            t = build_tangle(v, matching, 0)
+            key = canonical_key(t)
+            if key not in seen:
+                seen[key] = t
+    return [seen[key] for key in sorted(seen)]

@@ -5,8 +5,9 @@ import pytest
 
 import vlink as vl
 from vlink import LEG
+from vlink.characterize import _candidates
 
-from oracles import brute_isomorphic
+from oracles import brute_isomorphic, reference_enumerate_tangles
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +59,50 @@ def test_enumerate_budget():
         vl.enumerate_tangles(2, 4)
     with pytest.raises(ValueError, match="arity must be even"):
         vl.enumerate_tangles(3, 0)
+
+
+def test_enumerate_rejects_negative_sizes():
+    with pytest.raises(ValueError, match="arity must be nonnegative, got -2"):
+        vl.enumerate_tangles(-2, 1)
+    with pytest.raises(ValueError, match="arity must be nonnegative, got -3"):
+        vl.enumerate_tangles(-3, 0)
+    with pytest.raises(ValueError, match="max_vertices must be nonnegative, got -1"):
+        vl.enumerate_tangles(2, -1)
+
+
+def _has_closed_component(t: vl.Tangle) -> bool:
+    """Whether some vertex of ``t`` is joined to no leg."""
+    partner = dict(t.edges)
+    partner.update((b, a) for a, b in t.edges)
+    reached = {partner[(LEG, i)][0] for i in range(1, t.arity + 1)} - {LEG}
+    stack = list(reached)
+    while stack:
+        x = stack.pop()
+        for s in range(4):
+            w = partner[(x, s)][0]
+            if w != LEG and w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return len(reached) < t.num_vertices
+
+
+def test_enumerate_matches_matching_walk_reference():
+    # Every size with at most 12 endpoints: the same classes as the walk over
+    # all perfect matchings, and one candidate per class unless the class has
+    # a closed component, whose starts and orders are the only repeats.
+    closed_repeats = 0
+    for k in range(0, 13, 2):
+        for v in range((12 - k) // 4 + 1):
+            got = vl.enumerate_tangles(k, v)
+            ref = reference_enumerate_tangles(k, v)
+            assert len(got) == len(ref), (k, v)
+            assert {vl.canonical_key(t) for t in got} == {vl.canonical_key(t) for t in ref}
+            candidates = _candidates(k, v)
+            assert all(t.loop_count == 0 and t.num_vertices <= v for t in candidates)
+            open_keys = [vl.canonical_key(t) for t in candidates if not _has_closed_component(t)]
+            assert len(open_keys) == len(set(open_keys)), (k, v)
+            closed_repeats += len(candidates) - len(got)
+    assert closed_repeats > 0
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +161,16 @@ def test_kernel_probe_passes_and_controls():
     assert len(report.residuals) == 30
     assert report.passed()
     assert report.negative_control > 1e-3
+
+
+def test_kernel_probe_rejects_empty_or_negative_probes():
+    model = vl.random_model(2, np.random.default_rng(36))
+    rng = np.random.default_rng(37)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            vl.kernel_probe(model, samples=samples, max_vertices=2, rng=rng)
+    with pytest.raises(ValueError, match="max_vertices must be nonnegative, got -1"):
+        vl.kernel_probe(model, samples=5, max_vertices=-1, rng=rng)
 
 
 def test_kernel_probe_deterministic():

@@ -239,6 +239,20 @@ def test_kernel_random_model(capsys):
     assert lines[2] == "pass"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--samples", "0"], "samples must be at least 1, got 0"),
+        (["--samples", "-3"], "samples must be at least 1, got -3"),
+        (["--max-vertices", "-1"], "max_vertices must be nonnegative, got -1"),
+    ],
+)
+def test_kernel_empty_or_negative_probe_is_input_error(capsys, argv, message):
+    code, out, err = run(capsys, "kernel", "--n", "2", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"vlink: error: {message}\n"
+
+
 def test_kernel_zero_model_fails_control(workdir, capsys):
     path = workdir / "zero.json"
     path.write_text(json.dumps({"n": 2, "entries": []}))
@@ -312,6 +326,33 @@ def test_enumerate_budget_error(capsys):
     code, _, err = run(capsys, "enumerate", "--k", "2", "--max-vertices", "9")
     assert code == 1
     assert "endpoint budget" in err
+
+
+def test_negative_sizes_are_input_errors(workdir, capsys):
+    code, out, err = run(capsys, "enumerate", "--k", "-2", "--max-vertices", "1")
+    assert (code, out, err) == (1, "", "vlink: error: arity must be nonnegative, got -2\n")
+    code, out, err = run(capsys, "enumerate", "--k", "2", "--max-vertices", "-1")
+    assert (code, out) == (1, "")
+    assert err == "vlink: error: max_vertices must be nonnegative, got -1\n"
+    code, out, err = run(
+        capsys, "gram", "--model", workdir / "real.json", "--max-vertices", "-1"
+    )
+    assert (code, out) == (1, "")
+    assert err == "vlink: error: max_vertices must be nonnegative, got -1\n"
+
+
+def test_enumerate_does_not_depend_on_hash_seed():
+    outputs = set()
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vlink.cli", "enumerate", "--k", "2", "--max-vertices", "2"],
+            capture_output=True,
+            env={**_child_env(), "PYTHONHASHSEED": hash_seed},
+            check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().count(b"%%") == 150
 
 
 # ---------------------------------------------------------------------------
