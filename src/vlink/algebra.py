@@ -33,6 +33,7 @@ __all__ = [
     "COEFF_PRUNE_TOL",
     "DET_ARITY_BOUND",
     "glue",
+    "disjoint_union",
     "QuantumTangle",
     "qt_add",
     "qt_scale",
@@ -57,59 +58,67 @@ def glue(t: Tangle, u: Tangle) -> Tangle:
     Vertices of ``u`` are shifted past those of ``t``.  Each maximal chain of
     edges through identified legs becomes one edge; chains closing on
     themselves become vertexless loops.
+
+    Edges touching no leg pass straight through, so the cost is one pass
+    over both edge sets plus a walk over the k legs; the result is validated
+    once, as a diagram.
     """
     if t.arity != u.arity:
         raise ValueError(f"arity mismatch: cannot glue a {t.arity}-tangle to a {u.arity}-tangle")
     shift = t.num_vertices
+    edges = []
+    # t_far[l] and u_far[l]: the other end of that side's edge at leg l; a
+    # leg end there means the chain goes on through the other side.
+    t_far: dict[int, Endpoint] = {}
+    for a, b in t.edges:  # sorted pairs: a leg end always comes first
+        if a[0] != LEG:
+            edges.append((a, b))
+        else:
+            t_far[a[1]] = b
+            if b[0] == LEG:
+                t_far[b[1]] = a
+    u_far: dict[int, Endpoint] = {}
+    for a, b in u.edges:
+        if a[0] != LEG:
+            edges.append(((a[0] + shift, a[1]), (b[0] + shift, b[1])))
+        elif b[0] == LEG:
+            u_far[a[1]] = b
+            u_far[b[1]] = a
+        else:
+            u_far[a[1]] = (b[0] + shift, b[1])
 
-    def t_end(ep: Endpoint) -> tuple:
-        return ("c", ep[1]) if ep[0] == LEG else ("t", ep)
-
-    def u_end(ep: Endpoint) -> tuple:
-        return ("c", ep[1]) if ep[0] == LEG else ("t", (ep[0] + shift, ep[1]))
-
-    # Arcs of the connector graph: connectors ("c", label) have degree two
-    # (one arc from each side), terminals ("t", endpoint) degree one.
-    arcs = [(t_end(a), t_end(b)) for a, b in t.edges]
-    arcs += [(u_end(a), u_end(b)) for a, b in u.edges]
-
-    incident: dict[tuple, list[int]] = {}
-    for i, (a, b) in enumerate(arcs):
-        incident.setdefault(a, []).append(i)
-        incident.setdefault(b, []).append(i)
-
-    used = [False] * len(arcs)
-    edges: list[tuple[Endpoint, Endpoint]] = []
-
-    def walk(start_arc: int, start_node: tuple) -> tuple:
-        """Follow the chain from a terminal until the far terminal."""
-        arc, node = start_arc, start_node
-        while True:
-            used[arc] = True
-            a, b = arcs[arc]
-            node = b if node == a else a
-            if node[0] == "t":
-                return node[1]
-            arc = next(j for j in incident[node] if j != arc)
-
-    for i, (a, b) in enumerate(arcs):
-        if used[i]:
-            continue
-        if a[0] == "t":
-            edges.append((a[1], walk(i, a)))
-        elif b[0] == "t":
-            edges.append((b[1], walk(i, b)))
+    walked: set[int] = set()
+    for near, far in ((t_far, u_far), (u_far, t_far)):
+        for label, start in near.items():
+            if start[0] == LEG or label in walked:
+                continue
+            sides = (far, near)
+            side = 0
+            while True:  # leave each leg by the side it was not entered by
+                walked.add(label)
+                end = sides[side][label]
+                if end[0] != LEG:
+                    break
+                label = end[1]
+                side ^= 1
+            edges.append((start, end) if start < end else (end, start))
     loops = t.loop_count + u.loop_count
-    for i in range(len(arcs)):
-        if not used[i]:  # chain of connectors with no terminal: a closed loop
-            arc, node = i, arcs[i][0]
-            while not used[arc]:
-                used[arc] = True
-                a, b = arcs[arc]
-                node = b if node == a else a
-                arc = next(j for j in incident[node] if j != arc)
+    for label in t_far:
+        if label not in walked:  # a chain of legs with no end: a closed loop
             loops += 1
-    return build_tangle(t.num_vertices + u.num_vertices, edges, loops)
+            sides, side = (u_far, t_far), 0
+            while label not in walked:
+                walked.add(label)
+                label = sides[side][label][1]
+                side ^= 1
+    return Tangle(t.num_vertices + u.num_vertices, 0, frozenset(edges), loops)
+
+
+def disjoint_union(g: Tangle, h: Tangle) -> Tangle:
+    """Disjoint union of two diagrams (arity 0 on both sides)."""
+    if g.arity or h.arity:
+        raise ValueError("disjoint_union is defined for diagrams (arity 0) only")
+    return glue(g, h)
 
 
 # ---------------------------------------------------------------------------

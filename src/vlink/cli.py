@@ -231,6 +231,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_moves(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
     model = _load_model_arg(args)
     diagrams = [load_tangle(path) for path in args.paths]
     for path, g in zip(args.paths, diagrams):

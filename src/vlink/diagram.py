@@ -24,6 +24,8 @@ deliberately not identified); leg labels are fixed pointwise.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,7 +44,6 @@ __all__ = [
     "save_tangle",
     "partner_map",
     "relabel_legs",
-    "disjoint_union",
     "knot_components",
     "canonical_key",
     "CacheInfo",
@@ -73,7 +74,10 @@ class Tangle:
     ``edges`` is a frozenset of sorted endpoint pairs forming a perfect
     matching on the endpoint set described in the module docstring.  Use
     :func:`build_tangle` (or the parser) instead of the raw constructor;
-    the constructor validates but does not normalize its input.
+    the constructor validates but does not normalize its input.  A valid
+    matching is accepted by a few set operations over its 2E endpoints,
+    checked against a cached copy of the expected endpoint set; the
+    per-edge loop that names a fault runs only on invalid input.
     """
 
     num_vertices: int
@@ -86,23 +90,17 @@ class Tangle:
             raise ValueError("vertex, leg and loop counts must be nonnegative")
         if self.arity % 2:
             raise ValueError(f"arity must be even, got {self.arity}")
-        seen: set[Endpoint] = set()
-        for edge in self.edges:
-            if len(edge) != 2 or edge[0] >= edge[1]:
-                raise ValueError(f"edge {edge!r} is not a sorted pair of distinct endpoints")
-            for ep in edge:
-                if ep in seen:
-                    raise ValueError(f"endpoint {ep!r} used by more than one edge")
-                seen.add(ep)
-        expected = {(v, s) for v in range(self.num_vertices) for s in range(4)}
-        expected |= {(LEG, i) for i in range(1, self.arity + 1)}
-        if seen != expected:
-            missing = sorted(expected - seen)
-            extra = sorted(seen - expected)
-            raise ValueError(
-                f"edges do not form a perfect matching on the endpoint set"
-                f" (missing {missing!r}, unexpected {extra!r})"
-            )
+        # Every edge a sorted pair, 2E endpoints, all of them the expected
+        # ones: checked in C.  `_reject` names the first fault.
+        edges = self.edges
+        expected = _endpoint_set(self.num_vertices, self.arity)
+        if not (
+            set(map(len, edges)) <= {2}
+            and len(expected) == 2 * len(edges)
+            and all(map(operator.lt, map(_first, edges), map(_second, edges)))
+            and expected == set(itertools.chain.from_iterable(edges))
+        ):
+            self._reject(edges, expected)
         # Tangles key the canonical-key and plan caches, so hash once.
         object.__setattr__(
             self, "_hash", hash((self.num_vertices, self.arity, self.edges, self.loop_count))
@@ -110,6 +108,23 @@ class Tangle:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def _reject(self, edges: frozenset, expected: frozenset[Endpoint]) -> None:
+        """Raise the error naming the first fault of an invalid matching."""
+        seen: set[Endpoint] = set()
+        for edge in edges:
+            if len(edge) != 2 or edge[0] >= edge[1]:
+                raise ValueError(f"edge {edge!r} is not a sorted pair of distinct endpoints")
+            for ep in edge:
+                if ep in seen:
+                    raise ValueError(f"endpoint {ep!r} used by more than one edge")
+                seen.add(ep)
+        missing = sorted(expected - seen)
+        extra = sorted(seen - expected)
+        raise ValueError(
+            f"edges do not form a perfect matching on the endpoint set"
+            f" (missing {missing!r}, unexpected {extra!r})"
+        )
 
     @property
     def is_diagram(self) -> bool:
@@ -120,6 +135,20 @@ class Tangle:
             f"Tangle(v={self.num_vertices}, k={self.arity}, "
             f"loops={self.loop_count}, edges={sorted(self.edges)!r})"
         )
+
+
+_first, _second = operator.itemgetter(0), operator.itemgetter(1)
+
+
+#: Most (vertex count, arity) endpoint sets `Tangle` validation keeps.
+ENDPOINT_SET_CACHE_BOUND = 256
+
+
+@functools.lru_cache(maxsize=ENDPOINT_SET_CACHE_BOUND)
+def _endpoint_set(num_vertices: int, arity: int) -> frozenset[Endpoint]:
+    """Every endpoint of a tangle with these counts: its slots and its legs."""
+    slots = {(v, s) for v in range(num_vertices) for s in range(4)}
+    return frozenset(slots | {(LEG, i) for i in range(1, arity + 1)})
 
 
 def build_tangle(
@@ -308,19 +337,6 @@ def relabel_legs(t: Tangle, perm: dict[int, int]) -> Tangle:
         [(mapped(a), mapped(b)) for a, b in t.edges],
         t.loop_count,
     )
-
-
-def disjoint_union(g: Tangle, h: Tangle) -> Tangle:
-    """Disjoint union of two diagrams (arity 0 on both sides)."""
-    if g.arity or h.arity:
-        raise ValueError("disjoint_union is defined for diagrams (arity 0) only")
-    shift = g.num_vertices
-
-    def mapped(ep: Endpoint) -> Endpoint:
-        return (ep[0] + shift, ep[1])
-
-    edges = list(g.edges) + [(mapped(a), mapped(b)) for a, b in h.edges]
-    return build_tangle(g.num_vertices + h.num_vertices, edges, g.loop_count + h.loop_count)
 
 
 def knot_components(g: Tangle) -> int:

@@ -140,75 +140,61 @@ def check_algebraic(model: VertexModel, tol: float = 1e-10) -> ConditionReport:
 
 MOVE_KINDS = ("R1+", "R1-", "R2+", "R2-", "R3")
 
-
-def _kink_tangle() -> Tangle:
-    return build_tangle(
-        1,
-        [((LEG, 1), (0, 0)), ((0, 1), (0, 2)), ((0, 3), (LEG, 2))],
-    )
-
-
-def _crossing_pair_tangle() -> Tangle:
-    return build_tangle(
-        2,
-        [
-            ((LEG, 1), (0, 0)),
-            ((LEG, 2), (0, 1)),
-            ((0, 2), (1, 0)),
-            ((0, 3), (1, 3)),
-            ((1, 1), (LEG, 4)),
-            ((1, 2), (LEG, 3)),
-        ],
-    )
-
-
-def _parallel_tangle() -> Tangle:
-    return build_tangle(0, [((LEG, 1), (LEG, 3)), ((LEG, 2), (LEG, 4))])
-
-
-def _braid_left_tangle() -> Tangle:
-    return build_tangle(
-        3,
-        [
-            ((LEG, 1), (0, 0)),
-            ((LEG, 2), (0, 1)),
-            ((0, 2), (1, 0)),
-            ((0, 3), (2, 0)),
-            ((1, 1), (LEG, 3)),
-            ((1, 2), (LEG, 4)),
-            ((1, 3), (2, 1)),
-            ((2, 2), (LEG, 5)),
-            ((2, 3), (LEG, 6)),
-        ],
-    )
-
-
-def _braid_right_tangle() -> Tangle:
-    return build_tangle(
-        3,
-        [
-            ((0, 0), (LEG, 2)),
-            ((0, 1), (LEG, 3)),
-            ((0, 2), (2, 1)),
-            ((0, 3), (1, 1)),
-            ((1, 0), (LEG, 1)),
-            ((1, 2), (2, 0)),
-            ((1, 3), (LEG, 6)),
-            ((2, 2), (LEG, 4)),
-            ((2, 3), (LEG, 5)),
-        ],
-    )
+# Built once: tangles are immutable, so every rewrite shares them.
+_KINK = build_tangle(1, [((LEG, 1), (0, 0)), ((0, 1), (0, 2)), ((0, 3), (LEG, 2))])
+_CLOSED_KINK = build_tangle(1, [((0, 0), (0, 3)), ((0, 1), (0, 2))])
+_STRAND = strand_tangle()
+_CROSSING_PAIR = build_tangle(
+    2,
+    [
+        ((LEG, 1), (0, 0)),
+        ((LEG, 2), (0, 1)),
+        ((0, 2), (1, 0)),
+        ((0, 3), (1, 3)),
+        ((1, 1), (LEG, 4)),
+        ((1, 2), (LEG, 3)),
+    ],
+)
+_PARALLEL = build_tangle(0, [((LEG, 1), (LEG, 3)), ((LEG, 2), (LEG, 4))])
+_BRAID_LEFT = build_tangle(
+    3,
+    [
+        ((LEG, 1), (0, 0)),
+        ((LEG, 2), (0, 1)),
+        ((0, 2), (1, 0)),
+        ((0, 3), (2, 0)),
+        ((1, 1), (LEG, 3)),
+        ((1, 2), (LEG, 4)),
+        ((1, 3), (2, 1)),
+        ((2, 2), (LEG, 5)),
+        ((2, 3), (LEG, 6)),
+    ],
+)
+_BRAID_RIGHT = build_tangle(
+    3,
+    [
+        ((0, 0), (LEG, 2)),
+        ((0, 1), (LEG, 3)),
+        ((0, 2), (2, 1)),
+        ((0, 3), (1, 1)),
+        ((1, 0), (LEG, 1)),
+        ((1, 2), (2, 0)),
+        ((1, 3), (LEG, 6)),
+        ((2, 2), (LEG, 4)),
+        ((2, 3), (LEG, 5)),
+    ],
+)
 
 
 def move_tangles(kind: int) -> QuantumTangle:
     """The two-term combination whose evaluation is condition ``kind``'s
     residual: pattern minus replacement."""
     if kind == 1:
-        pattern, replacement = _kink_tangle(), strand_tangle()
+        pattern, replacement = _KINK, _STRAND
     elif kind == 2:
-        pattern, replacement = _crossing_pair_tangle(), _parallel_tangle()
+        pattern, replacement = _CROSSING_PAIR, _PARALLEL
     elif kind == 3:
-        pattern, replacement = _braid_left_tangle(), _braid_right_tangle()
+        pattern, replacement = _BRAID_LEFT, _BRAID_RIGHT
     else:
         raise ValueError(f"kind must be 1, 2 or 3, got {kind!r}")
     return qt_add(QuantumTangle.of(pattern), qt_scale(-1.0, QuantumTangle.of(replacement)))
@@ -235,16 +221,49 @@ class MoveSite:
     anchor: tuple
 
 
-def _loop_slots(g: Tangle, v: int) -> int | None:
+def _kink_rotation(edges: frozenset, v: int) -> int | None:
     """Frame rotation putting a loop edge of v onto slots 1,2; None if no
     R1-compatible loop.  Loops on slots 0,1 or 2,3 are the other chirality
     and are not kink sites."""
-    edges = g.edges
-    if tuple(sorted(((v, 1), (v, 2)))) in edges:
+    if ((v, 1), (v, 2)) in edges:
         return 0
-    if tuple(sorted(((v, 0), (v, 3)))) in edges:
+    if ((v, 0), (v, 3)) in edges:
         return 2
     return None
+
+
+def _vertex_anchors(g: Tangle) -> dict[str, list[tuple]]:
+    """Anchors of the R1-, R2- and R3 sites of ``g`` from one pass over its
+    vertices and one partner map, each kind in the order of
+    `enumerate_move_sites`."""
+    partner = partner_map(g)
+    found: dict[str, list[tuple]] = {"R1-": [], "R2-": [], "R3": []}
+    for u in range(g.num_vertices):
+        if _kink_rotation(g.edges, u) is not None:
+            found["R1-"].append((u,))
+        for ru in (0, 2):
+            x, sx = partner[(u, (2 + ru) % 4)]
+            y, sy = partner[(u, (3 + ru) % 4)]
+            if sx % 2 != sy % 2:
+                # R2-: w on slot 2+ru with rw = sx, edge u(3+ru)-w(3+rw)
+                if x != u and sx % 2 == 0 and (y, sy) == (x, (3 + sx) % 4):
+                    found["R2-"].append((u, x, ru, sx))
+            elif len({u, x, y}) != 3:
+                continue
+            elif sx % 2 == 0:
+                # R3 +1: v on slot 2+ru, w on slot 3+ru, edge v(3+rv)-w(1+rw)
+                if partner[(x, (3 + sx) % 4)] == (y, (1 + sy) % 4):
+                    found["R3"].append((u, x, y, ru, sx, sy, +1))
+            else:
+                # R3 -1: w on slot 2+ru, v on slot 3+ru, edge v(2+rv)-w(rw)
+                rw, rv = sx - 1, sy - 1
+                if partner[(y, (2 + rv) % 4)] == (x, rw):
+                    found["R3"].append((u, y, x, ru, rv, rw, -1))
+    # An R3 site's first six entries fix its direction, so tuple order
+    # never compares directions.
+    found["R2-"].sort()
+    found["R3"].sort()
+    return found
 
 
 def enumerate_move_sites(g: Tangle, kind: str) -> list[MoveSite]:
@@ -259,50 +278,17 @@ def enumerate_move_sites(g: Tangle, kind: str) -> list[MoveSite]:
     """
     if g.arity:
         raise ValueError("move sites are enumerated on diagrams (arity 0) only")
-    sites: list[MoveSite] = []
     if kind == "R1+":
-        for e in sorted(g.edges):
-            sites.append(MoveSite(kind, ("edge", e)))
+        sites = [MoveSite(kind, ("edge", e)) for e in sorted(g.edges)]
         if g.loop_count:
             sites.append(MoveSite(kind, ("loop",)))
-    elif kind == "R1-":
-        for v in range(g.num_vertices):
-            if _loop_slots(g, v) is not None:
-                sites.append(MoveSite(kind, (v,)))
-    elif kind == "R2+":
+        return sites
+    if kind == "R2+":
         edges = sorted(g.edges)
-        for a in edges:
-            for b in edges:
-                if a != b:
-                    sites.append(MoveSite(kind, (a, b)))
-    elif kind in ("R2-", "R3"):
-        partner = partner_map(g)
-        anchors = []
-        for u in range(g.num_vertices):
-            for ru in (0, 2):
-                x, sx = partner[(u, (2 + ru) % 4)]
-                y, sy = partner[(u, (3 + ru) % 4)]
-                if kind == "R2-":
-                    # w on slot 2+ru with rw = sx, edge u(3+ru)-w(3+rw)
-                    if x != u and sx % 2 == 0 and (y, sy) == (x, (3 + sx) % 4):
-                        anchors.append((u, x, ru, sx))
-                elif len({u, x, y}) != 3 or sx % 2 != sy % 2:
-                    continue
-                elif sx % 2 == 0:
-                    # +1: v on slot 2+ru, w on slot 3+ru, edge v(3+rv)-w(1+rw)
-                    if partner[(x, (3 + sx) % 4)] == (y, (1 + sy) % 4):
-                        anchors.append((u, x, y, ru, sx, sy, +1))
-                else:
-                    # -1: w on slot 2+ru, v on slot 3+ru, edge v(2+rv)-w(rw)
-                    rw, rv = sx - 1, sy - 1
-                    if partner[(y, (2 + rv) % 4)] == (x, rw):
-                        anchors.append((u, y, x, ru, rv, rw, -1))
-        # An R3 site's first six entries fix its direction, so tuple order
-        # never compares directions.
-        sites = [MoveSite(kind, anchor) for anchor in sorted(anchors)]
-    else:
-        raise ValueError(f"unknown move kind {kind!r}")
-    return sites
+        return [MoveSite(kind, (a, b)) for a in edges for b in edges if a != b]
+    if kind in ("R1-", "R2-", "R3"):
+        return [MoveSite(kind, anchor) for anchor in _vertex_anchors(g)[kind]]
+    raise ValueError(f"unknown move kind {kind!r}")
 
 
 def _cut(
@@ -316,11 +302,11 @@ def _cut(
     for v in range(g.num_vertices):
         if v not in pattern_vertices:
             remap[v] = len(remap)
-    slot_to_leg = {ep: label for label, ep in boundary.items()}
+    slot_to_leg = {ep: (LEG, label) for label, ep in boundary.items()}
 
     def mapped(ep: Endpoint) -> Endpoint:
         if ep in slot_to_leg:
-            return (LEG, slot_to_leg[ep])
+            return slot_to_leg[ep]
         if ep[0] in pattern_vertices:
             raise ValueError(f"pattern does not cover endpoint {ep!r}")
         return (remap[ep[0]], ep[1])
@@ -329,16 +315,31 @@ def _cut(
     for edge in g.edges:
         if edge in internal_edges:
             continue
-        kept.append((mapped(edge[0]), mapped(edge[1])))
-    return build_tangle(len(remap), kept, g.loop_count)
+        a, b = mapped(edge[0]), mapped(edge[1])
+        kept.append((a, b) if a < b else (b, a))
+    return Tangle(len(remap), len(boundary), frozenset(kept), g.loop_count)
+
+
+def _cut_edges(
+    g: Tangle,
+    leg_assignment: list[tuple[Endpoint, int]],
+    removed: set[tuple[Endpoint, Endpoint]],
+) -> Tangle:
+    """Remove whole edges, attaching their former endpoints to fresh legs."""
+    legs = [((LEG, label), ep) for ep, label in leg_assignment]
+    return Tangle(g.num_vertices, len(legs), g.edges.difference(removed).union(legs), g.loop_count)
 
 
 def _edge(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Endpoint]:
-    return tuple(sorted((a, b)))  # type: ignore[return-value]
+    return (a, b) if a < b else (b, a)
 
 
 def apply_move(g: Tangle, site: MoveSite) -> Tangle:
-    """Rewrite ``g`` at ``site``; raises ValueError on a stale site."""
+    """Rewrite ``g`` at ``site``; raises ValueError on a stale site.
+
+    The pattern is cut out, leaving a tangle whose legs are the cut edge
+    ends, and the replacement is glued in; both steps build each tangle once.
+    """
     if g.arity:
         raise ValueError("moves apply to diagrams (arity 0) only")
     kind, anchor = site.kind, site.anchor
@@ -348,26 +349,25 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
             if not g.loop_count:
                 raise ValueError("stale move site: diagram has no vertexless loop")
             trimmed = Tangle(g.num_vertices, 0, g.edges, g.loop_count - 1)
-            closed_kink = build_tangle(1, [((0, 0), (0, 3)), ((0, 1), (0, 2))])
-            return glue(trimmed, closed_kink)
+            return glue(trimmed, _CLOSED_KINK)
         _, edge = anchor
         if edge not in g.edges:
             raise ValueError(f"stale move site: edge {edge!r} not in diagram")
         p, q = edge
         complement = _cut_edges(g, [(p, 1), (q, 2)], {edge})
-        return glue(complement, _kink_tangle())
+        return glue(complement, _KINK)
 
     if kind == "R1-":
         (v,) = anchor
         if not 0 <= v < g.num_vertices:
             raise ValueError(f"stale move site: no vertex {v}")
-        r = _loop_slots(g, v)
+        r = _kink_rotation(g.edges, v)
         if r is None:
             raise ValueError(f"stale move site: vertex {v} carries no kink loop")
         loop = _edge((v, (1 + r) % 4), (v, (2 + r) % 4))
         boundary = {1: (v, r % 4), 2: (v, (3 + r) % 4)}
         complement = _cut(g, {v}, boundary, {loop})
-        return glue(complement, strand_tangle())
+        return glue(complement, _STRAND)
 
     if kind == "R2+":
         ea, eb = anchor
@@ -375,7 +375,7 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
             raise ValueError("stale move site: need two distinct current edges")
         (p1, q1), (p2, q2) = ea, eb
         complement = _cut_edges(g, [(p1, 1), (p2, 2), (q1, 3), (q2, 4)], {ea, eb})
-        return glue(complement, _crossing_pair_tangle())
+        return glue(complement, _CROSSING_PAIR)
 
     if kind == "R2-":
         u, w, ru, rw = anchor
@@ -392,7 +392,7 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
             4: (w, (1 + rw) % 4),
         }
         complement = _cut(g, {u, w}, boundary, {a, b})
-        return glue(complement, _parallel_tangle())
+        return glue(complement, _PARALLEL)
 
     if kind == "R3":
         u, v, w, ru, rv, rw, direction = anchor
@@ -412,7 +412,7 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
                 5: (w, (2 + rw) % 4),
                 6: (w, (3 + rw) % 4),
             }
-            replacement = _braid_right_tangle()
+            replacement = _BRAID_RIGHT
         elif direction == -1:
             internal = {
                 _edge((u, (2 + ru) % 4), (w, (1 + rw) % 4)),
@@ -427,7 +427,7 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
                 5: (w, (3 + rw) % 4),
                 6: (v, (3 + rv) % 4),
             }
-            replacement = _braid_left_tangle()
+            replacement = _BRAID_LEFT
         else:
             raise ValueError(f"bad R3 direction {direction!r}")
         if not internal <= g.edges:
@@ -438,43 +438,37 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def _cut_edges(
-    g: Tangle,
-    leg_assignment: list[tuple[Endpoint, int]],
-    removed: set[tuple[Endpoint, Endpoint]],
-) -> Tangle:
-    """Remove whole edges, attaching their former endpoints to fresh legs."""
-    kept: list[tuple[Endpoint, Endpoint]] = []
-    for edge in g.edges:
-        if edge not in removed:
-            kept.append(edge)
-    for ep, label in leg_assignment:
-        kept.append(((LEG, label), ep))
-    return build_tangle(g.num_vertices, kept, g.loop_count)
-
-
 def random_move(g: Tangle, rng: np.random.Generator) -> tuple[MoveSite, Tangle]:
     """Apply one uniformly chosen move: first a kind with available sites is
     drawn, then a site of that kind.
 
-    R2+ has one site per ordered pair of distinct edges, so it is counted,
-    not listed: only the drawn site is built, the one at the same index of
-    ``enumerate_move_sites(g, "R2+")``.
+    The draw is the one made from the lists of `enumerate_move_sites`, but
+    R1+ and R2+ sites are counted, not listed: index q of R1+ is the q-th
+    sorted edge (q = E, past the E edges, is the loop site), index q of R2+
+    the q-th ordered pair of distinct sorted edges, and only the drawn site
+    is built.  R1-, R2- and R3 come from one pass over the vertices with one
+    partner map, so a draw costs O(E log E) before the rewrite.
     """
+    if g.arity:
+        raise ValueError("move sites are enumerated on diagrams (arity 0) only")
     e = len(g.edges)
-    sites = {kind: enumerate_move_sites(g, kind) for kind in MOVE_KINDS if kind != "R2+"}
-    counts = {kind: e * (e - 1) if kind == "R2+" else len(sites[kind]) for kind in MOVE_KINDS}
+    anchors = _vertex_anchors(g)
+    counts = {"R1+": e + (1 if g.loop_count else 0), "R2+": e * (e - 1)}
+    counts.update((kind, len(found)) for kind, found in anchors.items())
     available = [kind for kind in MOVE_KINDS if counts[kind]]
     if not available:
         raise ValueError("diagram admits no move sites")
     kind = available[int(rng.integers(len(available)))]
     q = int(rng.integers(counts[kind]))
-    if kind == "R2+":
+    if kind == "R1+":
+        anchor = ("loop",) if q == e else ("edge", sorted(g.edges)[q])
+    elif kind == "R2+":
         edges = sorted(g.edges)
         i, r = divmod(q, e - 1)
-        site = MoveSite(kind, (edges[i], edges[r if r < i else r + 1]))
+        anchor = (edges[i], edges[r if r < i else r + 1])
     else:
-        site = sites[kind][q]
+        anchor = anchors[kind][q]
+    site = MoveSite(kind, anchor)
     return site, apply_move(g, site)
 
 

@@ -6,8 +6,9 @@ bijections and frame rotations, knot components by depth-first search, move
 sites by scanning every vertex pair and triple, the greedy contraction
 order by comparing every pair of nodes with freshly sorted ids, and plan
 execution over a dict of nodes that looks up every axis by id, model
-files read by one Python store per entry, and the tangle basis by walking
-every perfect matching of the endpoints.
+files read by one Python store per entry, the tangle basis by walking
+every perfect matching of the endpoints, and rewriting by cutting with
+`build_tangle` and gluing through a connector graph of every edge.
 None of it imports the contraction planner or the model-file loader.  The
 basis walk alone deduplicates by `canonical_key`, which
 `brute_isomorphic` checks elsewhere: it judges the generation, not the key.
@@ -21,7 +22,15 @@ import string
 
 import numpy as np
 
-from vlink import LEG, Tangle, VertexModel, build_tangle, canonical_key, symmetrize
+from vlink import (
+    LEG,
+    Tangle,
+    VertexModel,
+    build_tangle,
+    canonical_key,
+    strand_tangle,
+    symmetrize,
+)
 from vlink.characterize import ENUMERATION_ENDPOINT_BUDGET
 from vlink.diagram import Endpoint
 
@@ -330,3 +339,288 @@ def reference_enumerate_tangles(k: int, max_vertices: int) -> list[Tangle]:
             if key not in seen:
                 seen[key] = t
     return [seen[key] for key in sorted(seen)]
+
+
+# ---------------------------------------------------------------------------
+# Rewriting by cut and glue: every edge of both tangles enters the connector
+# graph, and every piece is rebuilt and normalized by `build_tangle`.
+
+
+def reference_glue(t: Tangle, u: Tangle) -> Tangle:
+    """Glue equal-labeled legs of two k-tangles into a closed product.
+
+    Vertices of ``u`` are shifted past those of ``t``.  Each maximal chain of
+    edges through identified legs becomes one edge; chains closing on
+    themselves become vertexless loops.
+    """
+    if t.arity != u.arity:
+        raise ValueError(f"arity mismatch: cannot glue a {t.arity}-tangle to a {u.arity}-tangle")
+    shift = t.num_vertices
+
+    def t_end(ep: Endpoint) -> tuple:
+        return ("c", ep[1]) if ep[0] == LEG else ("t", ep)
+
+    def u_end(ep: Endpoint) -> tuple:
+        return ("c", ep[1]) if ep[0] == LEG else ("t", (ep[0] + shift, ep[1]))
+
+    # Arcs of the connector graph: connectors ("c", label) have degree two
+    # (one arc from each side), terminals ("t", endpoint) degree one.
+    arcs = [(t_end(a), t_end(b)) for a, b in t.edges]
+    arcs += [(u_end(a), u_end(b)) for a, b in u.edges]
+
+    incident: dict[tuple, list[int]] = {}
+    for i, (a, b) in enumerate(arcs):
+        incident.setdefault(a, []).append(i)
+        incident.setdefault(b, []).append(i)
+
+    used = [False] * len(arcs)
+    edges: list[tuple[Endpoint, Endpoint]] = []
+
+    def walk(start_arc: int, start_node: tuple) -> tuple:
+        """Follow the chain from a terminal until the far terminal."""
+        arc, node = start_arc, start_node
+        while True:
+            used[arc] = True
+            a, b = arcs[arc]
+            node = b if node == a else a
+            if node[0] == "t":
+                return node[1]
+            arc = next(j for j in incident[node] if j != arc)
+
+    for i, (a, b) in enumerate(arcs):
+        if used[i]:
+            continue
+        if a[0] == "t":
+            edges.append((a[1], walk(i, a)))
+        elif b[0] == "t":
+            edges.append((b[1], walk(i, b)))
+    loops = t.loop_count + u.loop_count
+    for i in range(len(arcs)):
+        if not used[i]:  # chain of connectors with no terminal: a closed loop
+            arc, node = i, arcs[i][0]
+            while not used[arc]:
+                used[arc] = True
+                a, b = arcs[arc]
+                node = b if node == a else a
+                arc = next(j for j in incident[node] if j != arc)
+            loops += 1
+    return build_tangle(t.num_vertices + u.num_vertices, edges, loops)
+
+
+def _kink_tangle() -> Tangle:
+    return build_tangle(
+        1,
+        [((LEG, 1), (0, 0)), ((0, 1), (0, 2)), ((0, 3), (LEG, 2))],
+    )
+
+
+def _crossing_pair_tangle() -> Tangle:
+    return build_tangle(
+        2,
+        [
+            ((LEG, 1), (0, 0)),
+            ((LEG, 2), (0, 1)),
+            ((0, 2), (1, 0)),
+            ((0, 3), (1, 3)),
+            ((1, 1), (LEG, 4)),
+            ((1, 2), (LEG, 3)),
+        ],
+    )
+
+
+def _parallel_tangle() -> Tangle:
+    return build_tangle(0, [((LEG, 1), (LEG, 3)), ((LEG, 2), (LEG, 4))])
+
+
+def _braid_left_tangle() -> Tangle:
+    return build_tangle(
+        3,
+        [
+            ((LEG, 1), (0, 0)),
+            ((LEG, 2), (0, 1)),
+            ((0, 2), (1, 0)),
+            ((0, 3), (2, 0)),
+            ((1, 1), (LEG, 3)),
+            ((1, 2), (LEG, 4)),
+            ((1, 3), (2, 1)),
+            ((2, 2), (LEG, 5)),
+            ((2, 3), (LEG, 6)),
+        ],
+    )
+
+
+def _braid_right_tangle() -> Tangle:
+    return build_tangle(
+        3,
+        [
+            ((0, 0), (LEG, 2)),
+            ((0, 1), (LEG, 3)),
+            ((0, 2), (2, 1)),
+            ((0, 3), (1, 1)),
+            ((1, 0), (LEG, 1)),
+            ((1, 2), (2, 0)),
+            ((1, 3), (LEG, 6)),
+            ((2, 2), (LEG, 4)),
+            ((2, 3), (LEG, 5)),
+        ],
+    )
+
+
+def _loop_slots(g: Tangle, v: int) -> int | None:
+    """Frame rotation putting a loop edge of v onto slots 1,2; None if no
+    R1-compatible loop.  Loops on slots 0,1 or 2,3 are the other chirality
+    and are not kink sites."""
+    edges = g.edges
+    if tuple(sorted(((v, 1), (v, 2)))) in edges:
+        return 0
+    if tuple(sorted(((v, 0), (v, 3)))) in edges:
+        return 2
+    return None
+
+
+def _cut(
+    g: Tangle,
+    pattern_vertices: set[int],
+    boundary: dict[int, Endpoint],
+    internal_edges: set[tuple[Endpoint, Endpoint]],
+) -> Tangle:
+    """Remove pattern vertices, turning the cut edge ends into legs."""
+    remap: dict[int, int] = {}
+    for v in range(g.num_vertices):
+        if v not in pattern_vertices:
+            remap[v] = len(remap)
+    slot_to_leg = {ep: label for label, ep in boundary.items()}
+
+    def mapped(ep: Endpoint) -> Endpoint:
+        if ep in slot_to_leg:
+            return (LEG, slot_to_leg[ep])
+        if ep[0] in pattern_vertices:
+            raise ValueError(f"pattern does not cover endpoint {ep!r}")
+        return (remap[ep[0]], ep[1])
+
+    kept = []
+    for edge in g.edges:
+        if edge in internal_edges:
+            continue
+        kept.append((mapped(edge[0]), mapped(edge[1])))
+    return build_tangle(len(remap), kept, g.loop_count)
+
+
+def _edge(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Endpoint]:
+    return tuple(sorted((a, b)))  # type: ignore[return-value]
+
+
+def reference_apply_move(g: Tangle, site) -> Tangle:
+    """Rewrite ``g`` at ``site``; raises ValueError on a stale site."""
+    if g.arity:
+        raise ValueError("moves apply to diagrams (arity 0) only")
+    kind, anchor = site.kind, site.anchor
+
+    if kind == "R1+":
+        if anchor == ("loop",):
+            if not g.loop_count:
+                raise ValueError("stale move site: diagram has no vertexless loop")
+            trimmed = Tangle(g.num_vertices, 0, g.edges, g.loop_count - 1)
+            closed_kink = build_tangle(1, [((0, 0), (0, 3)), ((0, 1), (0, 2))])
+            return reference_glue(trimmed, closed_kink)
+        _, edge = anchor
+        if edge not in g.edges:
+            raise ValueError(f"stale move site: edge {edge!r} not in diagram")
+        p, q = edge
+        complement = _cut_edges(g, [(p, 1), (q, 2)], {edge})
+        return reference_glue(complement, _kink_tangle())
+
+    if kind == "R1-":
+        (v,) = anchor
+        if not 0 <= v < g.num_vertices:
+            raise ValueError(f"stale move site: no vertex {v}")
+        r = _loop_slots(g, v)
+        if r is None:
+            raise ValueError(f"stale move site: vertex {v} carries no kink loop")
+        loop = _edge((v, (1 + r) % 4), (v, (2 + r) % 4))
+        boundary = {1: (v, r % 4), 2: (v, (3 + r) % 4)}
+        complement = _cut(g, {v}, boundary, {loop})
+        return reference_glue(complement, strand_tangle())
+
+    if kind == "R2+":
+        ea, eb = anchor
+        if ea == eb or ea not in g.edges or eb not in g.edges:
+            raise ValueError("stale move site: need two distinct current edges")
+        (p1, q1), (p2, q2) = ea, eb
+        complement = _cut_edges(g, [(p1, 1), (p2, 2), (q1, 3), (q2, 4)], {ea, eb})
+        return reference_glue(complement, _crossing_pair_tangle())
+
+    if kind == "R2-":
+        u, w, ru, rw = anchor
+        if not (0 <= u < g.num_vertices and 0 <= w < g.num_vertices) or u == w:
+            raise ValueError("stale move site: bad vertex pair")
+        a = _edge((u, (2 + ru) % 4), (w, rw % 4))
+        b = _edge((u, (3 + ru) % 4), (w, (3 + rw) % 4))
+        if a not in g.edges or b not in g.edges:
+            raise ValueError("stale move site: crossing pair pattern absent")
+        boundary = {
+            1: (u, ru % 4),
+            2: (u, (1 + ru) % 4),
+            3: (w, (2 + rw) % 4),
+            4: (w, (1 + rw) % 4),
+        }
+        complement = _cut(g, {u, w}, boundary, {a, b})
+        return reference_glue(complement, _parallel_tangle())
+
+    if kind == "R3":
+        u, v, w, ru, rv, rw, direction = anchor
+        if len({u, v, w}) != 3 or not all(0 <= x < g.num_vertices for x in (u, v, w)):
+            raise ValueError("stale move site: bad vertex triple")
+        if direction == +1:
+            internal = {
+                _edge((u, (2 + ru) % 4), (v, rv % 4)),
+                _edge((u, (3 + ru) % 4), (w, rw % 4)),
+                _edge((v, (3 + rv) % 4), (w, (1 + rw) % 4)),
+            }
+            boundary = {
+                1: (u, ru % 4),
+                2: (u, (1 + ru) % 4),
+                3: (v, (1 + rv) % 4),
+                4: (v, (2 + rv) % 4),
+                5: (w, (2 + rw) % 4),
+                6: (w, (3 + rw) % 4),
+            }
+            replacement = _braid_right_tangle()
+        elif direction == -1:
+            internal = {
+                _edge((u, (2 + ru) % 4), (w, (1 + rw) % 4)),
+                _edge((u, (3 + ru) % 4), (v, (1 + rv) % 4)),
+                _edge((v, (2 + rv) % 4), (w, rw % 4)),
+            }
+            boundary = {
+                1: (v, rv % 4),
+                2: (u, ru % 4),
+                3: (u, (1 + ru) % 4),
+                4: (w, (2 + rw) % 4),
+                5: (w, (3 + rw) % 4),
+                6: (v, (3 + rv) % 4),
+            }
+            replacement = _braid_left_tangle()
+        else:
+            raise ValueError(f"bad R3 direction {direction!r}")
+        if not internal <= g.edges:
+            raise ValueError("stale move site: braid pattern absent")
+        complement = _cut(g, {u, v, w}, boundary, internal)
+        return reference_glue(complement, replacement)
+
+    raise ValueError(f"unknown move kind {kind!r}")
+
+
+def _cut_edges(
+    g: Tangle,
+    leg_assignment: list[tuple[Endpoint, int]],
+    removed: set[tuple[Endpoint, Endpoint]],
+) -> Tangle:
+    """Remove whole edges, attaching their former endpoints to fresh legs."""
+    kept: list[tuple[Endpoint, Endpoint]] = []
+    for edge in g.edges:
+        if edge not in removed:
+            kept.append(edge)
+    for ep, label in leg_assignment:
+        kept.append(((LEG, label), ep))
+    return build_tangle(g.num_vertices, kept, g.loop_count)

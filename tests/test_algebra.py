@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import vlink as vl
 from vlink import LEG, QuantumTangle
 
-from oracles import naive_tangle_tensor
+from oracles import naive_tangle_tensor, reference_glue
 
 
 def _cycle_count(perm: tuple[int, ...]) -> int:
@@ -60,6 +60,28 @@ def test_glue_mixed_open_ends():
     bridges = vl.matching_tangle([(1, 3), (2, 4)])
     closed = vl.glue(crossing, bridges)
     assert closed == vl.parse_tangle("x v1 a b a b")
+
+
+def test_glue_matches_connector_graph_reference():
+    # Counted from the output: an edge joining two ends of the same side ran
+    # through a leg-to-leg edge of the other side; extra loops are closed
+    # chains of legs.
+    rng = np.random.default_rng(13)
+    seen = {"cross": 0, "leg_to_leg": 0, "closed": 0, "diagram": 0}
+    for _ in range(300):
+        k = 2 * int(rng.integers(4))
+        t = vl.random_tangle(rng, k, int(rng.integers(4)), int(rng.integers(2)))
+        u = vl.random_tangle(rng, k, int(rng.integers(4)), int(rng.integers(2)))
+        glued = vl.glue(t, u)
+        assert glued == reference_glue(t, u), (t, u)
+        seen["diagram"] += k == 0
+        seen["closed"] += glued.loop_count > t.loop_count + u.loop_count
+        shift = t.num_vertices
+        passed = t.edges | {((a + shift, s), (b + shift, r)) for (a, s), (b, r) in u.edges if a != LEG}
+        for (a, _), (b, _) in glued.edges - passed:
+            same_side = (a < t.num_vertices) == (b < t.num_vertices)
+            seen["leg_to_leg" if same_side else "cross"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_glue_keeps_vertex_tensors(small_corpus):

@@ -214,6 +214,39 @@ def test_moves_output_golden(tmp_path, capsys):
         assert (code, out) == (2, expected)
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_moves_empty_or_negative_count_is_input_error(workdir, capsys, count):
+    code, out, err = run(
+        capsys,
+        "moves", "--model", workdir / "knots.json", "test", workdir / "two_knots.vld",
+        "--count", count,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"vlink: error: count must be at least 1, got {count}\n"
+
+
+def test_moves_does_not_depend_on_hash_seed(tmp_path, corpus):
+    # A model failing the move conditions makes the printed delta depend on
+    # which sites the seeded draws land on.
+    vl.save_model(vl.random_model(2, np.random.default_rng(1), real=True), str(tmp_path / "m.json"))
+    paths = []
+    for index in (17, 25, 26):
+        paths.append(tmp_path / f"g{index}.vld")
+        vl.save_tangle(corpus[index], str(paths[-1]))
+    argv = ["moves", "--model", tmp_path / "m.json", "test", *paths, "--count", "40", "--seed", "3"]
+    runs = set()
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vlink.cli", *map(str, argv)],
+            capture_output=True,
+            env={**_child_env(), "PYTHONHASHSEED": hash_seed},
+        )
+        runs.add((proc.returncode, proc.stdout))
+    assert len(runs) == 1
+    code, out = runs.pop()
+    assert code == 2 and out.startswith(b"applied 40\n")
+
+
 def test_moves_rejects_open_tangles(workdir, capsys):
     code, _, err = run(
         capsys,

@@ -48,6 +48,62 @@ def test_validation_rejects_bad_matchings():
         vl.build_tangle(0, [((LEG, 2), (LEG, 3))])
 
 
+_PERFECT_MATCHING = "edges do not form a perfect matching on the endpoint set"
+
+
+@pytest.mark.parametrize(
+    "num_vertices, arity, edges, message",
+    [
+        (
+            0, 2, [((LEG, 1), (LEG, 2), (LEG, 3))],
+            "edge ((-1, 1), (-1, 2), (-1, 3)) is not a sorted pair of distinct endpoints",
+        ),
+        (
+            0, 2, [((LEG, 2), (LEG, 1))],
+            "edge ((-1, 2), (-1, 1)) is not a sorted pair of distinct endpoints",
+        ),
+        (
+            0, 2, [((LEG, 1), (LEG, 1)), ((LEG, 2), (0, 0))],
+            "edge ((-1, 1), (-1, 1)) is not a sorted pair of distinct endpoints",
+        ),
+        (
+            0, 4, [((LEG, 1), (LEG, 2)), ((LEG, 1), (LEG, 3))],
+            "endpoint (-1, 1) used by more than one edge",
+        ),
+        (
+            1, 0, [((0, 0), (0, 1))],
+            f"{_PERFECT_MATCHING} (missing [(0, 2), (0, 3)], unexpected [])",
+        ),
+        (
+            1, 0, [((0, 0), (0, 1)), ((0, 2), (1, 3))],
+            f"{_PERFECT_MATCHING} (missing [(0, 3)], unexpected [(1, 3)])",
+        ),
+        (
+            0, 2, [((LEG, 1), (LEG, 3))],
+            f"{_PERFECT_MATCHING} (missing [(-1, 2)], unexpected [(-1, 3)])",
+        ),
+        (
+            0, 0, [((0, 0), (0, 1))],
+            f"{_PERFECT_MATCHING} (missing [], unexpected [(0, 0), (0, 1)])",
+        ),
+    ],
+    ids=[
+        "three-tuple",
+        "unsorted-pair",
+        "self-pair",
+        "repeated-endpoint",
+        "missing-endpoint",
+        "vertex-out-of-range",
+        "leg-above-arity",
+        "edges-without-vertices",
+    ],
+)
+def test_validation_messages(num_vertices, arity, edges, message):
+    with pytest.raises(ValueError) as info:
+        vl.Tangle(num_vertices, arity, frozenset(edges))
+    assert str(info.value) == message
+
+
 def test_tangle_is_hashable_and_frozen():
     t = vl.parse_tangle("x v1 a b a b")
     assert hash(t) == hash(vl.parse_tangle("x v1 a b a b"))

@@ -6,7 +6,7 @@ import pytest
 import vlink as vl
 from vlink.moves import MOVE_KINDS, kink_contraction, ybe_sides
 
-from oracles import brute_move_sites, dfs_knot_components
+from oracles import brute_move_sites, dfs_knot_components, reference_apply_move
 
 
 def _swap_model() -> vl.VertexModel:
@@ -252,6 +252,36 @@ def test_r3_round_trip_up_to_isomorphism():
             for s in vl.enumerate_move_sites(moved, "R3")
         ]
         assert key in back
+
+
+def _rewrite_diagrams() -> list[vl.Tangle]:
+    """Seeded diagrams with 0-10 vertices, some carrying vertexless loops or
+    kinks, and the diagrams met along random-move chains."""
+    diagrams = [vl.empty_tangle(), vl.loop_diagram(2), vl.parse_tangle("loops 1\nx v1 a b b a")]
+    rng = np.random.default_rng(11)
+    for vertices in range(11):
+        for loops in (0, 1):
+            diagrams.append(vl.random_tangle(rng, 0, vertices, loop_count=loops))
+    return diagrams + _chain_diagrams()
+
+
+def test_apply_move_matches_cut_and_glue_reference():
+    # Every site of every kind, except that R2+ takes every ordered edge
+    # pair only on diagrams of at most four vertices and a seeded sample
+    # of 20 pairs above that.
+    rng = np.random.default_rng(12)
+    applied = {kind: 0 for kind in MOVE_KINDS}
+    loop_sites = 0
+    for g in _rewrite_diagrams():
+        for kind in MOVE_KINDS:
+            sites = vl.enumerate_move_sites(g, kind)
+            if kind == "R2+" and g.num_vertices > 4:
+                sites = [sites[int(i)] for i in rng.choice(len(sites), 20, replace=False)]
+            for site in sites:
+                assert vl.apply_move(g, site) == reference_apply_move(g, site), (g, site)
+                applied[kind] += 1
+                loop_sites += site.anchor == ("loop",)
+    assert min(applied.values()) > 0 and loop_sites > 0, (applied, loop_sites)
 
 
 def test_stale_sites_raise():
