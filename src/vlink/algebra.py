@@ -27,6 +27,7 @@ from .diagram import (
     build_tangle,
     canonical_key,
     load_tangle,
+    read_source,
 )
 
 __all__ = [
@@ -300,20 +301,19 @@ def load_quantum_tangle(path: str) -> QuantumTangle:
     """
     base = os.path.dirname(os.path.abspath(path))
     items = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if tokens[0] != "term" or len(tokens) != 4:
-                raise VldError("expected: term <re> <im> <path>", str(path), lineno)
-            try:
-                re_part, im_part = float(tokens[1]), float(tokens[2])
-            except ValueError:
-                raise VldError("coefficient parts must be numbers", str(path), lineno)
-            sub = tokens[3]
-            if not os.path.isabs(sub):
-                sub = os.path.join(base, sub)
-            items.append((load_tangle(sub), complex(re_part, im_part)))
+    for lineno, raw in enumerate(read_source(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if tokens[0] != "term" or len(tokens) != 4:
+            raise VldError("expected: term <re> <im> <path>", str(path), lineno)
+        try:
+            re_part, im_part = float(tokens[1]), float(tokens[2])
+        except ValueError:
+            raise VldError("coefficient parts must be numbers", str(path), lineno)
+        sub = tokens[3]
+        if not os.path.isabs(sub):
+            sub = os.path.join(base, sub)
+        items.append((load_tangle(sub), complex(re_part, im_part)))
     return _from_items(items)

@@ -39,6 +39,7 @@ __all__ = [
     "loop_diagram",
     "strand_tangle",
     "parse_tangle",
+    "read_source",
     "load_tangle",
     "serialize_tangle",
     "save_tangle",
@@ -279,9 +280,18 @@ def parse_tangle(text: str, source: str = "<string>") -> Tangle:
         raise VldError(str(exc), source) from exc
 
 
-def load_tangle(path: str) -> Tangle:
+def read_source(path: str) -> str:
+    """The UTF-8 text of a ``.vld`` or ``.qtl`` file; undecodable bytes are a
+    :class:`VldError` naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return parse_tangle(fh.read(), source=str(path))
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise VldError(str(exc), str(path)) from exc
+
+
+def load_tangle(path: str) -> Tangle:
+    return parse_tangle(read_source(path), source=str(path))
 
 
 def serialize_tangle(t: Tangle) -> str:

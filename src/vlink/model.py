@@ -24,13 +24,14 @@ with the Cayley transform generator for complex orthogonal matrices.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import QuantumTangle
 from .contraction import ContractionPlan, execute_plan, plan_contraction
-from .diagram import Tangle
+from .diagram import CacheInfo, Tangle
 
 __all__ = [
     "VertexModel",
@@ -43,6 +44,8 @@ __all__ = [
     "random_orthogonal",
     "cayley_orthogonal",
     "load_model",
+    "model_cache_info",
+    "MODEL_CACHE_BOUND",
     "model_to_json",
     "save_model",
     "partition_function",
@@ -221,6 +224,23 @@ def _integer(value) -> int:
     return int(value)
 
 
+#: Most validated models `load_model` keeps; the least recently used goes
+#: first.
+MODEL_CACHE_BOUND = 16
+
+#: Validated models keyed by (sha256 of the file text, project), oldest use
+#: first, and the hit and miss counts since import.  Only models are kept:
+#: neither file text nor errors, so a failed load is decoded again.
+_models: OrderedDict[tuple[bytes, bool], VertexModel] = OrderedDict()
+_model_counts = {"hits": 0, "misses": 0}
+
+
+def model_cache_info() -> CacheInfo:
+    """Hits and misses of `load_model`'s cache since import, its current
+    size and its bound."""
+    return CacheInfo(_model_counts["hits"], _model_counts["misses"], len(_models), MODEL_CACHE_BOUND)
+
+
 def load_model(path: str, project: bool = False) -> VertexModel:
     """Load a model from JSON; validates swap invariance unless ``project``.
 
@@ -228,9 +248,41 @@ def load_model(path: str, project: bool = False) -> VertexModel:
     accepted; booleans and fractions are not), the indices 1-based.
     ``re`` and ``im`` default to 0, entries left out are zero, and of two
     entries at the same index the later one wins.
+
+    The file is read on every call, but a text seen recently (with the same
+    ``project``) is not decoded again: its validated model is shared, keyed
+    by the text's SHA-256, so a rewritten file never reads stale.
+    `model_cache_info` reports the cache's hits and misses.
     """
+    # Imported here, not at module level: hashlib costs about 4 ms to import,
+    # which `import vlink` should not charge to code that loads no model file.
+    import hashlib
+
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: malformed model file ({exc})") from exc
+    key = (hashlib.sha256(text.encode("utf-8")).digest(), project)
+    model = _models.pop(key, None)
+    if model is None:
+        _model_counts["misses"] += 1
+        model = _decode_model(path, text, project)
+        if len(_models) >= MODEL_CACHE_BOUND:
+            _models.popitem(last=False)
+    else:
+        _model_counts["hits"] += 1
+    _models[key] = model
+    return model
+
+
+def _decode_model(path: str, text: str, project: bool) -> VertexModel:
+    """The model in a model file's ``text``; ``path`` only names the file in
+    error messages."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: malformed model file ({exc})") from exc
     try:
         n = _integer(doc["n"])
         items = list(doc.get("entries", []))

@@ -540,3 +540,46 @@ def test_eval_out_of_memory_is_an_error(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("vlink: error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_moves_diagram_without_move_sites_is_input_error(workdir, capsys):
+    empty = workdir / "empty.vld"
+    empty.write_text("")
+    for paths in ([empty], [workdir / "two_knots.vld", empty]):
+        code, out, err = run(
+            capsys,
+            "moves", "--model", workdir / "knots.json", "test", *paths,
+            "--count", "5", "--seed", "0",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"vlink: error: {empty}: diagram admits no move sites\n"
+
+
+def test_undecodable_diagram_files_name_the_file(workdir, capsys):
+    (workdir / "bad.vld").write_bytes(b"x v1 a b a b\n\xff\n")
+    (workdir / "bad.qtl").write_bytes(b"term 1 0 loop.vld\n\xfe\n")
+    (workdir / "refers.qtl").write_text("term 1 0 bad.vld\n")
+    for path, culprit, position, byte in (
+        ("bad.vld", "bad.vld", 13, "0xff"),
+        ("bad.qtl", "bad.qtl", 18, "0xfe"),
+        ("refers.qtl", "bad.vld", 13, "0xff"),
+    ):
+        message = f"{workdir / culprit}: 'utf-8' codec can't decode byte {byte} in position {position}: invalid start byte"
+        code, out, err = run(capsys, "eval", "--model", workdir / "knots.json", workdir / path)
+        assert (code, out, err) == (1, "", f"vlink: error: {message}\n")
+    with pytest.raises(vl.VldError) as info:
+        vl.load_tangle(str(workdir / "bad.vld"))
+    assert info.value.source == str(workdir / "bad.vld")
+
+
+def test_import_does_not_load_hashlib():
+    # load_model imports hashlib on first use; subcommands that never load a
+    # model must not pay for its import at start-up.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vlink, vlink.cli; print('hashlib' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        check=True,
+    )
+    assert proc.stdout == "False\n"

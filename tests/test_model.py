@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import vlink as vl
 
 from vlink.cli import main
+from vlink.model import MODEL_CACHE_BOUND
 
 from oracles import dfs_knot_components, naive_tangle_tensor, reference_load_model
 
@@ -427,3 +429,120 @@ def test_load_model_accepts_integral_numbers(tmp_path):
     doc = {"n": 2.0, "entries": [{"i": 2.0, "j": "1", "k": 2, "l": 1, "re": 1.5}]}
     model = vl.load_model(_write_model(tmp_path, "m.json", doc))
     assert model.n == 2 and model.entries[1, 0, 1, 0] == 1.5
+
+
+# ---------------------------------------------------------------------------
+# Undecodable model files and the model cache
+
+
+def _cache_delta(before) -> tuple[int, int]:
+    after = vl.model_cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"n": 2, "entries": [}', "Expecting value: line 1 column 22 (char 21)"),
+        (b'{"n": 2, "entries": [\xff]}', "'utf-8' codec can't decode byte 0xff in position 21: invalid start byte"),
+        (
+            b"[" * 100_000 + b"]" * 100_000,
+            "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+        ),
+    ],
+)
+def test_undecodable_model_file_names_the_file(tmp_path, capsys, raw, message):
+    path = tmp_path / "m.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as info:
+        vl.load_model(str(path))
+    assert str(info.value) == f"{path}: malformed model file ({message})"
+    (tmp_path / "loop.vld").write_text("loops 1\n")
+    assert main(["eval", "--model", str(path), str(tmp_path / "loop.vld")]) == 1
+    assert capsys.readouterr() == ("", f"vlink: error: {path}: malformed model file ({message})\n")
+
+
+def test_load_model_rereads_a_file_rewritten_within_one_mtime(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "entries": [dict(_ONE, re=1.25)]}))
+    stat = os.stat(path)
+    assert vl.load_model(str(path)).entries[0, 0, 0, 0] == 1.25
+    path.write_text(json.dumps({"n": 1, "entries": [dict(_ONE, re=7.75)]}))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_mtime_ns == stat.st_mtime_ns
+    assert os.stat(path).st_size == stat.st_size
+    assert vl.load_model(str(path)).entries[0, 0, 0, 0] == 7.75
+
+
+def test_load_model_shares_one_decode_between_paths(tmp_path):
+    doc = {"n": 2, "entries": [dict(_ONE, re=0.5, im=-3.0)]}
+    first, second = _write_model(tmp_path, "a.json", doc), _write_model(tmp_path, "b.json", doc)
+    before = vl.model_cache_info()
+    a, b = vl.load_model(first), vl.load_model(second)
+    assert _cache_delta(before) == (1, 1)
+    assert a.n == b.n == 2
+    assert a.entries.tobytes() == b.entries.tobytes()
+
+
+def test_load_model_errors_are_not_cached(tmp_path):
+    doc = {"n": 2, "entries": [dict(_ONE, k=3)]}
+    paths = [_write_model(tmp_path, name, doc) for name in ("a.json", "b.json", "a.json")]
+    before = vl.model_cache_info()
+    for path in paths:
+        with pytest.raises(ValueError) as info:
+            vl.load_model(path)
+        assert str(info.value) == f"{path}: entry #0 index out of range 1..2"
+    assert _cache_delta(before) == (0, 3)
+    assert vl.model_cache_info().size == before.size
+
+
+def test_load_model_caches_projected_and_validated_loads_apart(tmp_path):
+    doc = {"n": 2, "entries": [dict(_ONE, re=2.0), dict(_ONE, i=2, k=2, re=-1.0, im=0.125)]}
+    path = _write_model(tmp_path, "m.json", doc)
+    before = vl.model_cache_info()
+    plain, projected = vl.load_model(path), vl.load_model(path, project=True)
+    assert _cache_delta(before) == (0, 2)
+    assert vl.load_model(path) is plain
+    assert vl.load_model(path, project=True) is projected
+    assert _cache_delta(before) == (2, 2)
+    asym = _write_model(tmp_path, "asym.json", {"n": 2, "entries": [dict(_ONE, k=2, l=2, re=1.0)]})
+    assert vl.load_model(asym, project=True).entries[0, 0, 1, 1] == 0.5
+    with pytest.raises(ValueError, match="swap-invariant"):
+        vl.load_model(asym)
+
+
+def test_model_cache_counts_and_evicts_least_recently_used(tmp_path):
+    bound = MODEL_CACHE_BOUND
+    assert bound == 16 and vl.model_cache_info().bound == bound
+    # Values unique to this test, so no earlier load can hit.
+    values = np.random.default_rng(14).standard_normal(bound + 1) + 20.0
+    paths = [
+        _write_model(tmp_path, f"m{j}.json", {"n": 1, "entries": [dict(_ONE, re=float(x))]})
+        for j, x in enumerate(values)
+    ]
+    before = vl.model_cache_info()
+    for path in paths[:bound]:
+        vl.load_model(path)
+        assert vl.model_cache_info().size <= bound
+    assert _cache_delta(before) == (0, bound)
+    assert vl.model_cache_info().size == bound
+    vl.load_model(paths[0])  # now the most recently used
+    assert _cache_delta(before) == (1, bound)
+    vl.load_model(paths[bound])  # evicts paths[1], the least recently used
+    assert _cache_delta(before) == (1, bound + 1)
+    assert vl.model_cache_info().size == bound
+    vl.load_model(paths[0])
+    assert _cache_delta(before) == (2, bound + 1)
+    assert vl.load_model(paths[1]).entries[0, 0, 0, 0] == values[1]
+    assert _cache_delta(before) == (2, bound + 2)
+    assert vl.model_cache_info().size == bound
+
+
+def test_cached_model_entries_stay_read_only(tmp_path):
+    path = _write_model(tmp_path, "m.json", {"n": 2, "entries": [dict(_ONE, re=4.5)]})
+    for _ in range(2):
+        model = vl.load_model(path)
+        assert not model.entries.flags.writeable
+        with pytest.raises(ValueError):
+            model.entries[0, 0, 0, 0] = 0.0
+    assert vl.load_model(path).entries[0, 0, 0, 0] == 4.5
