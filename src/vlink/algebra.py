@@ -24,6 +24,7 @@ from .diagram import (
     Endpoint,
     Tangle,
     VldError,
+    _remap,
     build_tangle,
     canonical_key,
     load_tangle,
@@ -271,23 +272,9 @@ def tangle_derivative(g: Tangle) -> QuantumTangle:
     items: list[tuple[Tangle, complex]] = []
     for v in range(g.num_vertices):
         for labels in ((1, 2, 3, 4), (3, 4, 1, 2)):
-            items.append((_delete_vertex(g, v, labels), 0.5 + 0j))
+            ends = {(v, s): (LEG, label) for s, label in enumerate(labels)}
+            items.append((_remap(g, ends, (v,)), 0.5 + 0j))
     return _from_items(items)
-
-
-def _delete_vertex(g: Tangle, v: int, labels: tuple[int, int, int, int]) -> Tangle:
-    def mapped(ep: Endpoint) -> Endpoint:
-        if ep[0] == v:
-            return (LEG, labels[ep[1]])
-        if ep[0] > v:
-            return (ep[0] - 1, ep[1])
-        return ep
-
-    return build_tangle(
-        g.num_vertices - 1,
-        [(mapped(a), mapped(b)) for a, b in g.edges],
-        g.loop_count,
-    )
 
 
 # ---------------------------------------------------------------------------

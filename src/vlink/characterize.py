@@ -256,9 +256,24 @@ class GramReport:
         return self.min_eigenvalue >= -tol * scale
 
 
-def _tensor_rows(model: VertexModel, basis: list[Tangle]) -> np.ndarray:
-    rows = [tangle_tensor(model, t).values.ravel() for t in basis]
-    return np.array(rows) if rows else np.zeros((0, model.n**4), dtype=complex)
+def _basis_gram(
+    model: VertexModel, arity: int, max_vertices: int
+) -> tuple[list[Tangle], np.ndarray, np.ndarray]:
+    """The enumerated basis, its tensors as rows, and their Gram matrix
+    ``rows @ rows.T``.  The basis is never empty, so neither is the matrix."""
+    basis = enumerate_tangles(arity, max_vertices)
+    rows = np.array([tangle_tensor(model, t).values.ravel() for t in basis])
+    return basis, rows, rows @ rows.T
+
+
+def _rank(a: np.ndarray, rel_tol: float) -> int:
+    """How many singular values of ``a`` are at or above ``rel_tol`` times the
+    largest."""
+    sv = np.linalg.svd(a, compute_uv=False)
+    top = sv.max()
+    if top == 0.0:
+        return 0
+    return int(np.sum(sv >= rel_tol * top))
 
 
 def gram_psd(model: VertexModel, max_vertices: int, arity: int = 4) -> GramReport:
@@ -270,12 +285,10 @@ def gram_psd(model: VertexModel, max_vertices: int, arity: int = 4) -> GramRepor
     """
     if not model.is_real:
         raise ValueError("gram_psd needs a real model")
-    basis = enumerate_tangles(arity, max_vertices)
-    rows = _tensor_rows(model, basis)
-    gram = rows @ rows.T
-    herm = float(np.max(np.abs(gram.imag))) if gram.size else 0.0
+    basis, _, gram = _basis_gram(model, arity, max_vertices)
+    herm = float(np.max(np.abs(gram.imag)))
     sym = (gram.real + gram.real.T) / 2.0
-    eigs = np.linalg.eigvalsh(sym) if gram.size else np.array([0.0])
+    eigs = np.linalg.eigvalsh(sym)
     return GramReport(tuple(basis), gram, float(eigs.min()), herm)
 
 
@@ -292,20 +305,8 @@ def nondegeneracy_probe(
     always pass, while complex models can drop Gram rank on isotropic
     directions.
     """
-    basis = enumerate_tangles(arity, max_vertices)
-    rows = _tensor_rows(model, basis)
-    gram = rows @ rows.T
-
-    def rank(a: np.ndarray) -> int:
-        if a.size == 0:
-            return 0
-        sv = np.linalg.svd(a, compute_uv=False)
-        top = sv.max()
-        if top == 0.0:
-            return 0
-        return int(np.sum(sv >= rank_tol * top))
-
-    return rank(gram), rank(rows)
+    _, rows, gram = _basis_gram(model, arity, max_vertices)
+    return _rank(gram, rank_tol), _rank(rows, rank_tol)
 
 
 # ---------------------------------------------------------------------------

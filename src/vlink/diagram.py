@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections.abc import Container
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -338,15 +339,35 @@ def relabel_legs(t: Tangle, perm: dict[int, int]) -> Tangle:
     """Relabel legs by the permutation ``perm`` of 1..k (label -> new label)."""
     if sorted(perm) != list(range(1, t.arity + 1)) or sorted(perm.values()) != sorted(perm):
         raise ValueError(f"perm must permute 1..{t.arity}")
+    return _remap(t, {(LEG, old): (LEG, new) for old, new in perm.items()})
 
-    def mapped(ep: Endpoint) -> Endpoint:
-        return (LEG, perm[ep[1]]) if ep[0] == LEG else ep
 
-    return build_tangle(
-        t.num_vertices,
-        [(mapped(a), mapped(b)) for a, b in t.edges],
-        t.loop_count,
-    )
+def _remap(
+    t: Tangle,
+    ends: dict[Endpoint, Endpoint],
+    gone: Container[int] = (),
+    drop: Container[tuple[Endpoint, Endpoint]] = (),
+) -> Tangle:
+    """``t`` without the vertices in ``gone`` and the edges in ``drop``, every
+    other edge mapped endpoint by endpoint: one in ``ends`` to its image,
+    a slot to the same slot of its vertex renumbered among the kept ones.
+
+    The images in ``ends`` are the legs of the result, so ``ends`` covers
+    every leg of ``t`` and every slot of a vertex in ``gone`` outside
+    ``drop``; an endpoint left out makes `Tangle` reject the result.
+    Relabelling legs, deleting a vertex and cutting a move pattern out are
+    all this one map.  Endpoints that keep their name are reused, not
+    copied: derivative terms and rewrites live on in the key cache.
+    """
+    kept = [v for v in range(t.num_vertices) if v not in gone]
+    where = {(old, s): (new, s) for new, old in enumerate(kept) if new != old for s in range(4)}
+    where.update(ends)
+    edges = []
+    for a, b in t.edges:
+        if (a, b) not in drop:
+            a, b = where.get(a, a), where.get(b, b)
+            edges.append((a, b) if a < b else (b, a))
+    return Tangle(len(kept), len(ends), frozenset(edges), t.loop_count)
 
 
 def knot_components(g: Tangle) -> int:

@@ -23,8 +23,8 @@ with the Cayley transform generator for complex orthogonal matrices.
 
 from __future__ import annotations
 
+import functools
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,17 +228,11 @@ def _integer(value) -> int:
 #: first.
 MODEL_CACHE_BOUND = 16
 
-#: Validated models keyed by (sha256 of the file text, project), oldest use
-#: first, and the hit and miss counts since import.  Only models are kept:
-#: neither file text nor errors, so a failed load is decoded again.
-_models: OrderedDict[tuple[bytes, bool], VertexModel] = OrderedDict()
-_model_counts = {"hits": 0, "misses": 0}
-
 
 def model_cache_info() -> CacheInfo:
     """Hits and misses of `load_model`'s cache since import, its current
     size and its bound."""
-    return CacheInfo(_model_counts["hits"], _model_counts["misses"], len(_models), MODEL_CACHE_BOUND)
+    return CacheInfo.of(_decode_model)
 
 
 def load_model(path: str, project: bool = False) -> VertexModel:
@@ -251,47 +245,35 @@ def load_model(path: str, project: bool = False) -> VertexModel:
 
     The file is read on every call, but a text seen recently (with the same
     ``project``) is not decoded again: its validated model is shared, keyed
-    by the text's SHA-256, so a rewritten file never reads stale.
-    `model_cache_info` reports the cache's hits and misses.
+    by the text itself, so a rewritten file never reads stale.  Errors are
+    not kept, and every one names the file.  `model_cache_info` reports the
+    cache's hits and misses.
     """
-    # Imported here, not at module level: hashlib costs about 4 ms to import,
-    # which `import vlink` should not charge to code that loads no model file.
-    import hashlib
-
     with open(path, encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return _decode_model(fh.read(), project)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: malformed model file ({exc})") from exc
-    key = (hashlib.sha256(text.encode("utf-8")).digest(), project)
-    model = _models.pop(key, None)
-    if model is None:
-        _model_counts["misses"] += 1
-        model = _decode_model(path, text, project)
-        if len(_models) >= MODEL_CACHE_BOUND:
-            _models.popitem(last=False)
-    else:
-        _model_counts["hits"] += 1
-    _models[key] = model
-    return model
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
-def _decode_model(path: str, text: str, project: bool) -> VertexModel:
-    """The model in a model file's ``text``; ``path`` only names the file in
-    error messages."""
+@functools.lru_cache(maxsize=MODEL_CACHE_BOUND)
+def _decode_model(text: str, project: bool) -> VertexModel:
+    """The model in a model file's ``text``; errors do not name the file."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"{path}: malformed model file ({exc})") from exc
+        raise ValueError(f"malformed model file ({exc})") from exc
     try:
         n = _integer(doc["n"])
         items = list(doc.get("entries", []))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: malformed model file ({exc})") from exc
+        raise ValueError(f"malformed model file ({exc})") from exc
     if n < 1:
-        raise ValueError(f"{path}: state count n must be >= 1")
+        raise ValueError("state count n must be >= 1")
     entries = np.zeros((n,) * 4, dtype=complex)
-    idx, values = _gather(path, items, n)
+    idx, values = _gather(items, n)
     # Flat positions, reversed so that np.unique's first occurrence is the
     # file's last: a fancy-index store does not say which duplicate wins.
     flat = (idx @ np.array([n**3, n**2, n, 1], dtype=np.int64))[::-1]
@@ -299,13 +281,10 @@ def _decode_model(path: str, text: str, project: bool) -> VertexModel:
     entries.reshape(-1)[flat] = values[::-1][last]
     if project:
         return symmetrize(entries)
-    try:
-        return VertexModel(n, entries)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return VertexModel(n, entries)
 
 
-def _gather(path: str, items: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gather(items: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero-based indices, shape (m, 4), and values of the m entries.
 
     Entries whose indices are all ints and whose values are ints or floats
@@ -332,9 +311,9 @@ def _gather(path: str, items: list, n: int) -> tuple[np.ndarray, np.ndarray]:
             index = tuple(_integer(item[key]) - 1 for key in _INDEX_KEYS)
             value = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: malformed entry #{pos} ({exc})") from exc
+            raise ValueError(f"malformed entry #{pos} ({exc})") from exc
         if not all(0 <= x < n for x in index):
-            raise ValueError(f"{path}: entry #{pos} index out of range 1..{n}")
+            raise ValueError(f"entry #{pos} index out of range 1..{n}")
         indices.append(index)
         values.append(value)
     return np.array(indices, dtype=np.int64).reshape(-1, 4), np.array(values, dtype=complex)

@@ -33,6 +33,7 @@ from .diagram import (
     LEG,
     Endpoint,
     Tangle,
+    _remap,
     build_tangle,
     partner_map,
     strand_tangle,
@@ -291,35 +292,6 @@ def enumerate_move_sites(g: Tangle, kind: str) -> list[MoveSite]:
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def _cut(
-    g: Tangle,
-    pattern_vertices: set[int],
-    boundary: dict[int, Endpoint],
-    internal_edges: set[tuple[Endpoint, Endpoint]],
-) -> Tangle:
-    """Remove pattern vertices, turning the cut edge ends into legs."""
-    remap: dict[int, int] = {}
-    for v in range(g.num_vertices):
-        if v not in pattern_vertices:
-            remap[v] = len(remap)
-    slot_to_leg = {ep: (LEG, label) for label, ep in boundary.items()}
-
-    def mapped(ep: Endpoint) -> Endpoint:
-        if ep in slot_to_leg:
-            return slot_to_leg[ep]
-        if ep[0] in pattern_vertices:
-            raise ValueError(f"pattern does not cover endpoint {ep!r}")
-        return (remap[ep[0]], ep[1])
-
-    kept = []
-    for edge in g.edges:
-        if edge in internal_edges:
-            continue
-        a, b = mapped(edge[0]), mapped(edge[1])
-        kept.append((a, b) if a < b else (b, a))
-    return Tangle(len(remap), len(boundary), frozenset(kept), g.loop_count)
-
-
 def _cut_edges(
     g: Tangle,
     leg_assignment: list[tuple[Endpoint, int]],
@@ -365,9 +337,8 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
         if r is None:
             raise ValueError(f"stale move site: vertex {v} carries no kink loop")
         loop = _edge((v, (1 + r) % 4), (v, (2 + r) % 4))
-        boundary = {1: (v, r % 4), 2: (v, (3 + r) % 4)}
-        complement = _cut(g, {v}, boundary, {loop})
-        return glue(complement, _STRAND)
+        ends = {(v, r % 4): (LEG, 1), (v, (3 + r) % 4): (LEG, 2)}
+        return glue(_remap(g, ends, {v}, {loop}), _STRAND)
 
     if kind == "R2+":
         ea, eb = anchor
@@ -385,14 +356,13 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
         b = _edge((u, (3 + ru) % 4), (w, (3 + rw) % 4))
         if a not in g.edges or b not in g.edges:
             raise ValueError("stale move site: crossing pair pattern absent")
-        boundary = {
-            1: (u, ru % 4),
-            2: (u, (1 + ru) % 4),
-            3: (w, (2 + rw) % 4),
-            4: (w, (1 + rw) % 4),
+        ends = {
+            (u, ru % 4): (LEG, 1),
+            (u, (1 + ru) % 4): (LEG, 2),
+            (w, (2 + rw) % 4): (LEG, 3),
+            (w, (1 + rw) % 4): (LEG, 4),
         }
-        complement = _cut(g, {u, w}, boundary, {a, b})
-        return glue(complement, _PARALLEL)
+        return glue(_remap(g, ends, {u, w}, {a, b}), _PARALLEL)
 
     if kind == "R3":
         u, v, w, ru, rv, rw, direction = anchor
@@ -404,13 +374,13 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
                 _edge((u, (3 + ru) % 4), (w, rw % 4)),
                 _edge((v, (3 + rv) % 4), (w, (1 + rw) % 4)),
             }
-            boundary = {
-                1: (u, ru % 4),
-                2: (u, (1 + ru) % 4),
-                3: (v, (1 + rv) % 4),
-                4: (v, (2 + rv) % 4),
-                5: (w, (2 + rw) % 4),
-                6: (w, (3 + rw) % 4),
+            ends = {
+                (u, ru % 4): (LEG, 1),
+                (u, (1 + ru) % 4): (LEG, 2),
+                (v, (1 + rv) % 4): (LEG, 3),
+                (v, (2 + rv) % 4): (LEG, 4),
+                (w, (2 + rw) % 4): (LEG, 5),
+                (w, (3 + rw) % 4): (LEG, 6),
             }
             replacement = _BRAID_RIGHT
         elif direction == -1:
@@ -419,21 +389,20 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
                 _edge((u, (3 + ru) % 4), (v, (1 + rv) % 4)),
                 _edge((v, (2 + rv) % 4), (w, rw % 4)),
             }
-            boundary = {
-                1: (v, rv % 4),
-                2: (u, ru % 4),
-                3: (u, (1 + ru) % 4),
-                4: (w, (2 + rw) % 4),
-                5: (w, (3 + rw) % 4),
-                6: (v, (3 + rv) % 4),
+            ends = {
+                (v, rv % 4): (LEG, 1),
+                (u, ru % 4): (LEG, 2),
+                (u, (1 + ru) % 4): (LEG, 3),
+                (w, (2 + rw) % 4): (LEG, 4),
+                (w, (3 + rw) % 4): (LEG, 5),
+                (v, (3 + rv) % 4): (LEG, 6),
             }
             replacement = _BRAID_LEFT
         else:
             raise ValueError(f"bad R3 direction {direction!r}")
         if not internal <= g.edges:
             raise ValueError("stale move site: braid pattern absent")
-        complement = _cut(g, {u, v, w}, boundary, internal)
-        return glue(complement, replacement)
+        return glue(_remap(g, ends, {u, v, w}, internal), replacement)
 
     raise ValueError(f"unknown move kind {kind!r}")
 

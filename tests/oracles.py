@@ -7,8 +7,9 @@ sites by scanning every vertex pair and triple, the greedy contraction
 order by comparing every pair of nodes with freshly sorted ids, and plan
 execution over a dict of nodes that looks up every axis by id, model
 files read by one Python store per entry, the tangle basis by walking
-every perfect matching of the endpoints, and rewriting by cutting with
-`build_tangle` and gluing through a connector graph of every edge.
+every perfect matching of the endpoints, leg relabelling and vertex
+deletion by a mapping function and `build_tangle`, and rewriting by cutting
+with `build_tangle` and gluing through a connector graph of every edge.
 None of it imports the contraction planner or the model-file loader.  The
 basis walk alone deduplicates by `canonical_key`, which
 `brute_isomorphic` checks elsewhere: it judges the generation, not the key.
@@ -24,6 +25,7 @@ import numpy as np
 
 from vlink import (
     LEG,
+    QuantumTangle,
     Tangle,
     VertexModel,
     build_tangle,
@@ -31,6 +33,7 @@ from vlink import (
     strand_tangle,
     symmetrize,
 )
+from vlink.algebra import _from_items
 from vlink.characterize import ENUMERATION_ENDPOINT_BUDGET
 from vlink.diagram import Endpoint
 
@@ -339,6 +342,57 @@ def reference_enumerate_tangles(k: int, max_vertices: int) -> list[Tangle]:
             if key not in seen:
                 seen[key] = t
     return [seen[key] for key in sorted(seen)]
+
+
+# ---------------------------------------------------------------------------
+# Leg relabelling and vertex deletion: one mapping function per call, every
+# result rebuilt and normalized by `build_tangle`.
+
+
+def reference_relabel_legs(t: Tangle, perm: dict[int, int]) -> Tangle:
+    """Relabel legs by the permutation ``perm`` of 1..k (label -> new label)."""
+    if sorted(perm) != list(range(1, t.arity + 1)) or sorted(perm.values()) != sorted(perm):
+        raise ValueError(f"perm must permute 1..{t.arity}")
+
+    def mapped(ep: Endpoint) -> Endpoint:
+        return (LEG, perm[ep[1]]) if ep[0] == LEG else ep
+
+    return build_tangle(
+        t.num_vertices,
+        [(mapped(a), mapped(b)) for a, b in t.edges],
+        t.loop_count,
+    )
+
+
+def reference_tangle_derivative(g: Tangle) -> QuantumTangle:
+    """Formal derivative of a diagram: a 4-tangle combination, one pair of
+    half-weight terms per vertex.
+
+    Deleting a vertex frees its four edge ends; they become legs 1..4 in slot
+    order, and again legs 3,4,1,2 (the rotation by two), each with weight 1/2.
+    """
+    if g.arity:
+        raise ValueError("tangle_derivative is defined for diagrams (arity 0) only")
+    items: list[tuple[Tangle, complex]] = []
+    for v in range(g.num_vertices):
+        for labels in ((1, 2, 3, 4), (3, 4, 1, 2)):
+            items.append((_delete_vertex(g, v, labels), 0.5 + 0j))
+    return _from_items(items)
+
+
+def _delete_vertex(g: Tangle, v: int, labels: tuple[int, int, int, int]) -> Tangle:
+    def mapped(ep: Endpoint) -> Endpoint:
+        if ep[0] == v:
+            return (LEG, labels[ep[1]])
+        if ep[0] > v:
+            return (ep[0] - 1, ep[1])
+        return ep
+
+    return build_tangle(
+        g.num_vertices - 1,
+        [(mapped(a), mapped(b)) for a, b in g.edges],
+        g.loop_count,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import vlink as vl
 from vlink import LEG, QuantumTangle
 
-from oracles import naive_tangle_tensor, reference_glue
+from oracles import naive_tangle_tensor, reference_glue, reference_tangle_derivative
 
 
 def _cycle_count(perm: tuple[int, ...]) -> int:
@@ -251,6 +251,23 @@ def test_tangle_derivative_structure():
 
 def test_tangle_derivative_empty_for_vertexless():
     assert vl.tangle_derivative(vl.loop_diagram(2)) == QuantumTangle.zero()
+
+
+def test_tangle_derivative_matches_reference():
+    # Equal combinations: the same keys, coefficients and representatives.
+    diagrams = [
+        vl.parse_tangle("x v1 a a b b"),
+        vl.parse_tangle("loops 2\nx v1 a b b a\nx v2 c d c d"),
+    ]
+    rng = np.random.default_rng(22)
+    for vertices in range(11):
+        for loops in (0, 1, 2):
+            diagrams.append(vl.random_tangle(rng, 0, vertices, loop_count=loops))
+    self_loops = 0
+    for g in diagrams:
+        assert vl.tangle_derivative(g) == reference_tangle_derivative(g), g
+        self_loops += any(a[0] == b[0] for a, b in g.edges)
+    assert self_loops > 2
 
 
 # ---------------------------------------------------------------------------

@@ -572,14 +572,20 @@ def test_undecodable_diagram_files_name_the_file(workdir, capsys):
     assert info.value.source == str(workdir / "bad.vld")
 
 
-def test_import_does_not_load_hashlib():
-    # load_model imports hashlib on first use; subcommands that never load a
-    # model must not pay for its import at start-up.
+def test_import_does_not_load_hashlib(workdir):
+    # hashlib costs milliseconds to import: neither start-up nor a one-shot
+    # `vlink eval`, whose model cache is keyed by the file text, imports it.
+    script = (
+        "import sys, vlink, vlink.cli\n"
+        "print('hashlib' in sys.modules)\n"
+        "code = vlink.cli.main(['eval', '--model', sys.argv[1], sys.argv[2]])\n"
+        "print(code, 'hashlib' in sys.modules)\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, vlink, vlink.cli; print('hashlib' in sys.modules)"],
+        [sys.executable, "-c", script, str(workdir / "knots.json"), str(workdir / "loop.vld")],
         capture_output=True,
         text=True,
         env=_child_env(),
         check=True,
     )
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False\n2 0\n0 False\n"

@@ -9,7 +9,7 @@ import vlink as vl
 import vlink.diagram
 from vlink import LEG
 
-from oracles import brute_isomorphic, dfs_knot_components
+from oracles import brute_isomorphic, dfs_knot_components, reference_relabel_legs
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +268,20 @@ def test_relabel_legs():
     assert vl.relabel_legs(u, {1: 2, 2: 1, 3: 4, 4: 3}) == t
     with pytest.raises(ValueError):
         vl.relabel_legs(t, {1: 1, 2: 2, 3: 3, 4: 5})
+
+
+def test_relabel_legs_matches_reference():
+    rng = np.random.default_rng(21)
+    leg_pairs = loops = 0
+    for vertices in range(11):
+        for arity in (0, 2, 4, 6, 8):
+            for _ in range(3):
+                t = vl.random_tangle(rng, arity, vertices, loop_count=int(rng.integers(3)))
+                perm = dict(zip(range(1, arity + 1), (rng.permutation(arity) + 1).tolist()))
+                assert vl.relabel_legs(t, perm) == reference_relabel_legs(t, perm), (t, perm)
+                leg_pairs += any(a[0] == b[0] == LEG for a, b in t.edges)
+                loops += t.loop_count > 0
+    assert leg_pairs and loops, (leg_pairs, loops)
 
 
 # ---------------------------------------------------------------------------

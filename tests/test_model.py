@@ -462,6 +462,18 @@ def test_undecodable_model_file_names_the_file(tmp_path, capsys, raw, message):
     assert capsys.readouterr() == ("", f"vlink: error: {path}: malformed model file ({message})\n")
 
 
+def test_model_too_big_to_allocate_names_the_file(tmp_path, capsys):
+    # n**4 entries of 16 bytes overflow what numpy can describe, so the
+    # allocation is refused before any memory is taken.
+    path = _write_model(tmp_path, "huge.json", {"n": 1_000_000})
+    with pytest.raises(ValueError) as info:
+        vl.load_model(path)
+    assert str(info.value).startswith(f"{path}: array is too big; ")
+    (tmp_path / "loop.vld").write_text("loops 1\n")
+    assert main(["eval", "--model", path, str(tmp_path / "loop.vld")]) == 1
+    assert capsys.readouterr() == ("", f"vlink: error: {info.value}\n")
+
+
 def test_load_model_rereads_a_file_rewritten_within_one_mtime(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": 1, "entries": [dict(_ONE, re=1.25)]}))

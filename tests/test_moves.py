@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -298,6 +299,45 @@ def test_stale_sites_raise():
         vl.apply_move(g, vl.MoveSite("R1+", ("loop",)))
     with pytest.raises(ValueError, match="stale"):
         vl.apply_move(g, vl.MoveSite("R2-", (0, 1, 0, 0)))
+
+
+def test_every_vertex_anchor_matches_reference_or_its_error():
+    # Every R1-, R2- and R3 anchor over the vertices (one past the end too),
+    # the rotations 0..3 (the rewrite reads them mod 4) and the directions
+    # of small diagrams, most of them stale.  The rewrite and the reference
+    # agree on the result or on the error message; no anchor that passes
+    # the pattern checks leaves a slot of a pattern vertex uncovered.
+    rng = np.random.default_rng(23)
+    diagrams = [_closed_braid(), vl.parse_tangle("x v1 a b b a\nx v2 c d c d")]
+    diagrams += [vl.random_tangle(rng, 0, vertices) for vertices in (1, 2, 3, 4, 4)]
+    rotations = range(4)
+    outcomes = {"applied": 0, "stale": 0}
+    for g in diagrams:
+        ids = range(g.num_vertices + 1)
+        sites = [vl.MoveSite("R1-", (v,)) for v in range(-1, g.num_vertices + 1)]
+        sites += [
+            vl.MoveSite("R2-", (u, w, ru, rw))
+            for u, w, ru, rw in itertools.product(ids, ids, rotations, rotations)
+        ]
+        sites += [
+            vl.MoveSite("R3", (u, v, w, ru, rv, rw, direction))
+            for u, v, w in itertools.product(ids, repeat=3)
+            for ru, rv, rw in itertools.product(rotations, repeat=3)
+            for direction in (1, -1, 0)
+        ]
+        for site in sites:
+            try:
+                expected = reference_apply_move(g, site)
+            except ValueError as exc:
+                assert "pattern does not cover" not in str(exc), (g, site)
+                with pytest.raises(ValueError) as info:
+                    vl.apply_move(g, site)
+                assert str(info.value) == str(exc), (g, site)
+                outcomes["stale"] += 1
+            else:
+                assert vl.apply_move(g, site) == expected, (g, site)
+                outcomes["applied"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 # ---------------------------------------------------------------------------
