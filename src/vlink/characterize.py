@@ -226,17 +226,13 @@ def kernel_probe(
         residuals.append(kernel_residual(model, t))
         scales.append(1.0 + norm**v)
     control = 0.0
-    if model.n >= 1:
-        det_small = det_tangle(model.n)
-        for _ in range(samples):
-            v = int(rng.integers(max_vertices + 1))
-            t = random_tangle(rng, 2 * model.n, v)
-            value = qt_evaluate(model, qt_glue(det_small, QuantumTangle.of(t)))
-            control = max(control, abs(value))
-    scaled = max(
-        (r / s for r, s in zip(residuals, scales)),
-        default=0.0,
-    )
+    det_small = det_tangle(model.n)
+    for _ in range(samples):
+        v = int(rng.integers(max_vertices + 1))
+        t = random_tangle(rng, 2 * model.n, v)
+        value = qt_evaluate(model, qt_glue(det_small, QuantumTangle.of(t)))
+        control = max(control, abs(value))
+    scaled = max(r / s for r, s in zip(residuals, scales))
     return KernelReport(model.n, tuple(residuals), tuple(scales), scaled, control)
 
 

@@ -163,7 +163,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _load_model_arg(args: argparse.Namespace):
-    return load_model(args.model, project=getattr(args, "symmetrize", False))
+    return load_model(args.model, project=args.symmetrize)
 
 
 def _emit(args: argparse.Namespace, text_line: str, record: dict) -> None:
@@ -213,20 +213,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     model = _load_model_arg(args)
     report = check_algebraic(model, tol=args.tol)
-    verdict = "pass" if report.passed else "fail"
-    if args.format == "text":
-        print(f"r1 {_fmt(report.residual_r1)}")
-        print(f"r2 {_fmt(report.residual_r2)}")
-        print(f"r3 {_fmt(report.residual_r3)}")
-        print(verdict)
-    else:
-        record = {
+    _emit(
+        args,
+        f"r1 {_fmt(report.residual_r1)}\nr2 {_fmt(report.residual_r2)}\n"
+        f"r3 {_fmt(report.residual_r3)}\n{'pass' if report.passed else 'fail'}",
+        {
             "r1": report.residual_r1,
             "r2": report.residual_r2,
             "r3": report.residual_r3,
             "passed": report.passed,
-        }
-        _emit(args, "", record)
+        },
+    )
     return 0 if report.passed else 2
 
 

@@ -31,7 +31,6 @@ import numpy as np
 from .algebra import QuantumTangle, glue, qt_add, qt_scale
 from .diagram import (
     LEG,
-    Endpoint,
     Tangle,
     _remap,
     build_tangle,
@@ -187,17 +186,29 @@ _BRAID_RIGHT = build_tangle(
 )
 
 
+#: Each move as (pattern, replacement) under its number: R1-, R2- and R3
+#: direction +1 rewrite the pattern into the replacement, R1+, R2+ and R3
+#: direction -1 the replacement into the pattern.
+_MOVES = {1: (_KINK, _STRAND), 2: (_CROSSING_PAIR, _PARALLEL), 3: (_BRAID_LEFT, _BRAID_RIGHT)}
+
+#: Each pattern split once: its internal edges (no leg end), and its edges
+#: with a leg end in sorted order, each read as (leg, other end).
+_SPLIT = {
+    t: (
+        [edge for edge in t.edges if edge[0][0] != LEG],
+        sorted(edge for edge in t.edges if edge[0][0] == LEG),
+    )
+    for pair in _MOVES.values()
+    for t in pair
+}
+
+
 def move_tangles(kind: int) -> QuantumTangle:
     """The two-term combination whose evaluation is condition ``kind``'s
     residual: pattern minus replacement."""
-    if kind == 1:
-        pattern, replacement = _KINK, _STRAND
-    elif kind == 2:
-        pattern, replacement = _CROSSING_PAIR, _PARALLEL
-    elif kind == 3:
-        pattern, replacement = _BRAID_LEFT, _BRAID_RIGHT
-    else:
+    if kind not in _MOVES:
         raise ValueError(f"kind must be 1, 2 or 3, got {kind!r}")
+    pattern, replacement = _MOVES[kind]
     return qt_add(QuantumTangle.of(pattern), qt_scale(-1.0, QuantumTangle.of(replacement)))
 
 
@@ -292,18 +303,35 @@ def enumerate_move_sites(g: Tangle, kind: str) -> list[MoveSite]:
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def _cut_edges(
-    g: Tangle,
-    leg_assignment: list[tuple[Endpoint, int]],
-    removed: set[tuple[Endpoint, Endpoint]],
-) -> Tangle:
-    """Remove whole edges, attaching their former endpoints to fresh legs."""
-    legs = [((LEG, label), ep) for ep, label in leg_assignment]
-    return Tangle(g.num_vertices, len(legs), g.edges.difference(removed).union(legs), g.loop_count)
+def _cut_edges(g: Tangle, pattern: Tangle, cut: tuple) -> Tangle:
+    """Remove the edges ``cut``, attaching the two ends of the i-th one to
+    the two legs of the i-th sorted edge of the vertex-free ``pattern``."""
+    _, leg_pairs = _SPLIT[pattern]
+    legs = []
+    for (la, lb), (a, b) in zip(leg_pairs, cut):
+        legs += ((la, a), (lb, b))
+    # A set's iteration order, which `glue` and so the rewrite's repr follow,
+    # depends on how it was built: legs go in by label, `cut` out as a set.
+    legs.sort()
+    return Tangle(g.num_vertices, len(legs), g.edges.difference(set(cut)).union(legs), g.loop_count)
 
 
-def _edge(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Endpoint]:
-    return (a, b) if a < b else (b, a)
+def _cut_vertices(g: Tangle, pattern: Tangle, at: tuple, rot: tuple, name: str) -> Tangle:
+    """Cut ``pattern`` out of ``g``, its vertex p placed at vertex ``at[p]``
+    turned by ``rot[p]``: pattern endpoint (p, s) is (at[p], (s + rot[p]) % 4).
+    Each placed leg end becomes the pattern's leg; raises ValueError if a
+    placed internal edge is not an edge of ``g``."""
+    internal, legs = _SPLIT[pattern]
+    cut = set()
+    for (p, s), (q, t) in internal:
+        a, b = (at[p], (s + rot[p]) % 4), (at[q], (t + rot[q]) % 4)
+        cut.add((a, b) if a < b else (b, a))
+    if not cut <= g.edges:
+        raise ValueError(f"stale move site: {name} pattern absent")
+    ends = {}
+    for leg, (p, s) in legs:
+        ends[(at[p], (s + rot[p]) % 4)] = leg
+    return _remap(g, ends, at, cut)
 
 
 def apply_move(g: Tangle, site: MoveSite) -> Tangle:
@@ -311,6 +339,7 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
 
     The pattern is cut out, leaving a tangle whose legs are the cut edge
     ends, and the replacement is glued in; both steps build each tangle once.
+    Every cut reads its edges and legs from the pattern tangle it removes.
     """
     if g.arity:
         raise ValueError("moves apply to diagrams (arity 0) only")
@@ -325,9 +354,8 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
         _, edge = anchor
         if edge not in g.edges:
             raise ValueError(f"stale move site: edge {edge!r} not in diagram")
-        p, q = edge
-        complement = _cut_edges(g, [(p, 1), (q, 2)], {edge})
-        return glue(complement, _KINK)
+        kink, strand = _MOVES[1]
+        return glue(_cut_edges(g, strand, (edge,)), kink)
 
     if kind == "R1-":
         (v,) = anchor
@@ -336,73 +364,33 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
         r = _kink_rotation(g.edges, v)
         if r is None:
             raise ValueError(f"stale move site: vertex {v} carries no kink loop")
-        loop = _edge((v, (1 + r) % 4), (v, (2 + r) % 4))
-        ends = {(v, r % 4): (LEG, 1), (v, (3 + r) % 4): (LEG, 2)}
-        return glue(_remap(g, ends, {v}, {loop}), _STRAND)
+        kink, strand = _MOVES[1]
+        return glue(_cut_vertices(g, kink, (v,), (r,), "kink"), strand)
 
     if kind == "R2+":
         ea, eb = anchor
         if ea == eb or ea not in g.edges or eb not in g.edges:
             raise ValueError("stale move site: need two distinct current edges")
-        (p1, q1), (p2, q2) = ea, eb
-        complement = _cut_edges(g, [(p1, 1), (p2, 2), (q1, 3), (q2, 4)], {ea, eb})
-        return glue(complement, _CROSSING_PAIR)
+        pair, parallel = _MOVES[2]
+        return glue(_cut_edges(g, parallel, (ea, eb)), pair)
 
     if kind == "R2-":
         u, w, ru, rw = anchor
         if not (0 <= u < g.num_vertices and 0 <= w < g.num_vertices) or u == w:
             raise ValueError("stale move site: bad vertex pair")
-        a = _edge((u, (2 + ru) % 4), (w, rw % 4))
-        b = _edge((u, (3 + ru) % 4), (w, (3 + rw) % 4))
-        if a not in g.edges or b not in g.edges:
-            raise ValueError("stale move site: crossing pair pattern absent")
-        ends = {
-            (u, ru % 4): (LEG, 1),
-            (u, (1 + ru) % 4): (LEG, 2),
-            (w, (2 + rw) % 4): (LEG, 3),
-            (w, (1 + rw) % 4): (LEG, 4),
-        }
-        return glue(_remap(g, ends, {u, w}, {a, b}), _PARALLEL)
+        pair, parallel = _MOVES[2]
+        return glue(_cut_vertices(g, pair, (u, w), (ru, rw), "crossing pair"), parallel)
 
     if kind == "R3":
         u, v, w, ru, rv, rw, direction = anchor
         if len({u, v, w}) != 3 or not all(0 <= x < g.num_vertices for x in (u, v, w)):
             raise ValueError("stale move site: bad vertex triple")
-        if direction == +1:
-            internal = {
-                _edge((u, (2 + ru) % 4), (v, rv % 4)),
-                _edge((u, (3 + ru) % 4), (w, rw % 4)),
-                _edge((v, (3 + rv) % 4), (w, (1 + rw) % 4)),
-            }
-            ends = {
-                (u, ru % 4): (LEG, 1),
-                (u, (1 + ru) % 4): (LEG, 2),
-                (v, (1 + rv) % 4): (LEG, 3),
-                (v, (2 + rv) % 4): (LEG, 4),
-                (w, (2 + rw) % 4): (LEG, 5),
-                (w, (3 + rw) % 4): (LEG, 6),
-            }
-            replacement = _BRAID_RIGHT
-        elif direction == -1:
-            internal = {
-                _edge((u, (2 + ru) % 4), (w, (1 + rw) % 4)),
-                _edge((u, (3 + ru) % 4), (v, (1 + rv) % 4)),
-                _edge((v, (2 + rv) % 4), (w, rw % 4)),
-            }
-            ends = {
-                (v, rv % 4): (LEG, 1),
-                (u, ru % 4): (LEG, 2),
-                (u, (1 + ru) % 4): (LEG, 3),
-                (w, (2 + rw) % 4): (LEG, 4),
-                (w, (3 + rw) % 4): (LEG, 5),
-                (v, (3 + rv) % 4): (LEG, 6),
-            }
-            replacement = _BRAID_LEFT
-        else:
+        pattern, replacement = _MOVES[3]
+        if direction == -1:
+            pattern, replacement = replacement, pattern
+        elif direction != +1:
             raise ValueError(f"bad R3 direction {direction!r}")
-        if not internal <= g.edges:
-            raise ValueError("stale move site: braid pattern absent")
-        return glue(_remap(g, ends, {u, v, w}, internal), replacement)
+        return glue(_cut_vertices(g, pattern, (u, v, w), (ru, rv, rw), "braid"), replacement)
 
     raise ValueError(f"unknown move kind {kind!r}")
 

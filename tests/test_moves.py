@@ -326,18 +326,48 @@ def test_every_vertex_anchor_matches_reference_or_its_error():
             for direction in (1, -1, 0)
         ]
         for site in sites:
-            try:
-                expected = reference_apply_move(g, site)
-            except ValueError as exc:
-                assert "pattern does not cover" not in str(exc), (g, site)
-                with pytest.raises(ValueError) as info:
-                    vl.apply_move(g, site)
-                assert str(info.value) == str(exc), (g, site)
-                outcomes["stale"] += 1
-            else:
-                assert vl.apply_move(g, site) == expected, (g, site)
-                outcomes["applied"] += 1
+            _check_against_reference(g, site, outcomes)
     assert min(outcomes.values()) > 0, outcomes
+
+
+def test_every_edge_anchor_matches_reference_or_its_error():
+    # R1+ and R2+ anchors on the same kind of diagrams: every edge, up to
+    # three edges of another diagram that this one lacks, every ordered pair
+    # of these (equal pairs too), and the loop site with and without a
+    # vertexless loop.  The rewrite and the reference agree on the result or
+    # on the error message.
+    rng = np.random.default_rng(29)
+    diagrams = [_closed_braid(), vl.parse_tangle("x v1 a b b a\nx v2 c d c d")]
+    diagrams += [vl.random_tangle(rng, 0, vertices) for vertices in (1, 2, 3, 4)]
+    diagrams += [vl.loop_diagram(1), vl.random_tangle(rng, 0, 2, loop_count=1)]
+    outcomes = {"applied": 0, "stale": 0, "absent": 0, "loop": 0}
+    for g, other in zip(diagrams, diagrams[1:] + diagrams[:1]):
+        absent = sorted(other.edges - g.edges)[:3]
+        edges = sorted(g.edges) + absent
+        sites = [vl.MoveSite("R1+", ("edge", e)) for e in edges]
+        sites.append(vl.MoveSite("R1+", ("loop",)))
+        sites += [vl.MoveSite("R2+", (a, b)) for a, b in itertools.product(edges, repeat=2)]
+        for site in sites:
+            _check_against_reference(g, site, outcomes)
+        outcomes["absent"] += len(absent)
+        outcomes["loop"] += not g.loop_count
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def _check_against_reference(g: vl.Tangle, site: vl.MoveSite, outcomes: dict) -> None:
+    """Assert `apply_move` gives the reference's result or its exact error,
+    and count which of the two it was."""
+    try:
+        expected = reference_apply_move(g, site)
+    except ValueError as exc:
+        assert "pattern does not cover" not in str(exc), (g, site)
+        with pytest.raises(ValueError) as info:
+            vl.apply_move(g, site)
+        assert str(info.value) == str(exc), (g, site)
+        outcomes["stale"] += 1
+    else:
+        assert vl.apply_move(g, site) == expected, (g, site)
+        outcomes["applied"] += 1
 
 
 # ---------------------------------------------------------------------------
