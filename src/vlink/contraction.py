@@ -23,6 +23,22 @@ rows is the next merge, and a merge recomputes only the rows it can
 change.  A plan for a closed diagram of 12-20 vertices takes about 0.2 ms
 on a 2.1 GHz Xeon, one for a tangle of at most 5 vertices tens of µs.
 
+How a plan is chosen: without a state count n, `plan_contraction` returns
+the greedy plan.  `model.tangle_tensor` passes the model's n, and then the
+greedy plan stands unless its multiply-adds at n (`ContractionPlan.madds`)
+reach ``_SEARCH_MADDS``.  Such a plan is searched: the same greedy
+selection runs again over node orders shuffled by a `random.Random` of
+fixed seed, which breaks its many arity ties another way.  One pass runs
+per ``_SEARCH_MADDS`` of the best cost so far, at most ``_SEARCH_PASSES``;
+a pass stops once its cost reaches the best so far, and only a strictly
+cheaper plan replaces the greedy one.  So planning effort grows with the
+execution it can save, and small tangles at small n, as in the move and
+characterization checks, keep the greedy plan.  On the first 4,000
+diagrams of each of the benchmark's eval-large seeds 1-10 (closed, 12-20
+vertices, n=3 and 4) the search cuts total multiply-adds to 0.28-0.50 of
+greedy's, and the largest intermediate from 16 MiB (256 MiB on seed 6) to
+1 MiB.
+
 A plan is compiled when it is made: besides the merge order it holds, for
 each initial node in id order, whether it is an identity matrix, the vertex
 tensor, or the vertex tensor with its self-loops traced (an einsum
@@ -30,17 +46,24 @@ subscript); for each merge, the nodes' positions in that order and what
 ``np.tensordot`` would work out on every call (each operand's axis
 permutation, free axes around the contracted ones, and the three axis
 counts); and the transpose that puts the last node's axes in leg order.
-`execute_plan` only replays those transpose/reshape/``np.dot`` steps, which
-are ``tensordot``'s own operations in its order, so results are
-bit-identical to ``tensordot``'s.  Plans do not depend on the state count
-n.  Plans are cached per tangle, least recently used first out, at most
+Every merge keeps the lesser node id, so the last node is node 0.
+`execute_plan` only replays those transpose/reshape/``np.dot`` steps,
+which are ``tensordot``'s own operations in its order, so results are
+bit-identical to ``tensordot``'s.  It keeps arrays of at least
+``_POOL_MIN`` entries (the operand copies reshape makes, and merge
+results) in buffers reused from a bounded free list, so that they are not
+mapped and page-faulted afresh on every call; the copies and dots are the
+same, and the buffer under a returned array never goes back to the list.
+Plans are cached per tangle and n, least recently used first out, at most
 `PLAN_CACHE_BOUND` of them.
 """
 
 from __future__ import annotations
 
 import functools
+import random
 import string
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -64,9 +87,28 @@ __all__ = [
 #: rate is 0.08 at a bound of 64, 0.80 at 128, 0.82 at 256 and 0.83 at 1024.
 PLAN_CACHE_BOUND = 256
 
+#: Multiply-adds at n from which a greedy plan is searched for a cheaper
+#: one, and the search's pass budget: one pass per that many of the best
+#: cost, at most _SEARCH_PASSES.  On the benchmark's 12-20 vertex
+#: diagrams a pass takes about 0.14 ms, and executing 2,000,000
+#: multiply-adds about 0.86 ms (one BLAS thread, 2.1 GHz Xeon).
+_SEARCH_MADDS = 2_000_000
+_SEARCH_PASSES = 32
+#: Seed of the search's shuffles: fixed, so a tangle gets the same plan in
+#: every process.
+_SEARCH_SEED = 0
 
-@dataclass(frozen=True, slots=True)
-class ContractionStep:
+#: Complex entries from which execute_plan reuses buffers (128 KiB, glibc's
+#: default mmap threshold), how many free buffers of one size it keeps and
+#: how many bytes of them in all.
+_POOL_MIN = 1 << 13
+_POOL_PER_SIZE = 2
+_POOL_BYTES = 32 << 20
+
+
+class ContractionStep(NamedTuple):
+    """Merge node ``right`` into node ``left`` over the ``contracted`` axes."""
+
     left: tuple
     right: tuple
     contracted: tuple[int, ...]
@@ -100,11 +142,23 @@ class ContractionPlan:
         """Largest intermediate tensor entry count at state count ``n``."""
         return n ** self.peak_arity
 
+    def madds(self, n: int) -> int:
+        """Multiply-adds of the merges at state count ``n``: the sum over
+        merges of n^(axes of the two operands together)."""
+        return sum(n ** (fa + k + fb) for _, _, _, _, fa, k, fb in self.compiled.steps)
 
-def plan_contraction(t: Tangle) -> ContractionPlan:
-    """Greedy pairwise merge plan for evaluating ``t``, from the plan cache
-    when an equal tangle was planned recently."""
-    return _plan(t)
+    def peak_bytes(self, n: int) -> int:
+        """Bytes of the largest merge result at state count ``n`` (complex
+        entries; 0 without merges)."""
+        return 16 * max((n ** (fa + fb) for _, _, _, _, fa, _, fb in self.compiled.steps), default=0)
+
+
+def plan_contraction(t: Tangle, n: int | None = None) -> ContractionPlan:
+    """Pairwise merge plan for evaluating ``t``, from the plan cache when an
+    equal tangle was planned recently with the same ``n``.  Without ``n``
+    it is the greedy plan; with it, a plan costly at ``n`` is searched for a
+    cheaper one (see the module docstring)."""
+    return _plan(t, n)
 
 
 def plan_cache_info() -> CacheInfo:
@@ -114,53 +168,106 @@ def plan_cache_info() -> CacheInfo:
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_BOUND)
-def _plan(t: Tangle) -> ContractionPlan:
-    # Nodes are numbered in id order: ("m", edge index) identity nodes for
-    # leg-to-leg edges, then ("v", vertex).  Axis bits: an internal edge's
-    # bit is its axis id, leg l's bit is ``legs_at + l - 1``.
-    edges = sorted(t.edges)
-    legs_at = len(edges)
-    slots = [[0, 0, 0, 0] for _ in range(t.num_vertices)]
-    keys: list[tuple] = []
-    axes_of: list[list[int]] = []  # each node's axis bits in its tensor's axis order
-    masks: list[int] = []  # each node's axis bits as one int
-    for idx, ((va, la), (vb, lb)) in enumerate(edges):
-        # Sorted pairs put a leg end first, so only ``b`` can face a leg.
-        if va != LEG:
-            slots[va][la] = slots[vb][lb] = idx
-        elif vb != LEG:
-            slots[vb][lb] = legs_at + la - 1
-        else:
-            keys.append(("m", idx))
-            axes_of.append([legs_at + la - 1, legs_at + lb - 1])
-            masks.append(1 << legs_at + la - 1 | 1 << legs_at + lb - 1)
-    init: list[str | None] = [None] * len(keys)
-    traced = []
-    for v, ids in enumerate(slots):
-        keys.append(("v", v))
-        a, b, c, d = ids
-        mask = 1 << a ^ 1 << b ^ 1 << c ^ 1 << d  # a self-loop's two bits cancel
-        masks.append(mask)
-        if mask.bit_count() == 4:
-            axes_of.append(ids)
-            init.append("")
-            continue
-        kept = [i for i in ids if ids.count(i) == 1]
-        axes_of.append(kept)
-        traced.append((("v", v), tuple(sorted(set(i for i in ids if ids.count(i) == 2)))))
-        letters: dict[int, str] = {}
-        for i in ids:
-            letters.setdefault(i, string.ascii_letters[len(letters)])
-        subscript = "".join(letters[i] for i in ids)
-        init.append(f"{subscript}->{''.join(letters[i] for i in kept)}")
-    peak = max(map(len, axes_of), default=0)
+def _plan(t: Tangle, n: int | None) -> ContractionPlan:
+    nodes = _Nodes.of(t)
+    bits = nodes.legs_at + t.arity
+    merges, _ = _greedy(nodes.masks, bits)
+    plan = _compile(t, nodes, merges)
+    # No merge spans more than twice the peak arity, which bounds the
+    # multiply-adds of small plans without summing them.
+    if n is None or len(plan.steps) * n ** (2 * plan.peak_arity) < _SEARCH_MADDS:
+        return plan
+    best = plan.madds(n)
+    if best < _SEARCH_MADDS:
+        return plan
+    found = None
+    rng = random.Random(_SEARCH_SEED)
+    order = list(range(len(nodes.keys)))
+    tried = 0
+    while tried < _SEARCH_PASSES and tried * _SEARCH_MADDS < best:
+        tried += 1
+        rng.shuffle(order)
+        merges, cost = _greedy([nodes.masks[x] for x in order], bits, n, best)
+        if merges is not None:
+            best, found = cost, _relabel(merges, order)
+    return plan if found is None else _compile(t, nodes, found)
 
+
+class _Nodes(NamedTuple):
+    """A tangle's initial nodes in id order: ("m", edge index) identity
+    nodes for leg-to-leg edges, then ("v", vertex).  Axis bits: an internal
+    edge's bit is its axis id, leg l's bit is ``legs_at + l - 1``."""
+
+    keys: list[tuple]
+    axes: list[list[int]]  # each node's axis bits in its tensor's axis order
+    masks: list[int]  # each node's axis bits as one int
+    init: list[str | None]
+    traced: list[tuple[tuple, tuple[int, ...]]]
+    legs_at: int
+
+    @classmethod
+    def of(cls, t: Tangle) -> _Nodes:
+        edges = sorted(t.edges)
+        legs_at = len(edges)
+        slots = [[0, 0, 0, 0] for _ in range(t.num_vertices)]
+        keys: list[tuple] = []
+        axes: list[list[int]] = []
+        masks: list[int] = []
+        for idx, ((va, la), (vb, lb)) in enumerate(edges):
+            # Sorted pairs put a leg end first, so only ``b`` can face a leg.
+            if va != LEG:
+                slots[va][la] = slots[vb][lb] = idx
+            elif vb != LEG:
+                slots[vb][lb] = legs_at + la - 1
+            else:
+                keys.append(("m", idx))
+                axes.append([legs_at + la - 1, legs_at + lb - 1])
+                masks.append(1 << legs_at + la - 1 | 1 << legs_at + lb - 1)
+        init: list[str | None] = [None] * len(keys)
+        traced = []
+        for v, ids in enumerate(slots):
+            keys.append(("v", v))
+            a, b, c, d = ids
+            mask = 1 << a ^ 1 << b ^ 1 << c ^ 1 << d  # a self-loop's two bits cancel
+            masks.append(mask)
+            if mask.bit_count() == 4:
+                axes.append(ids)
+                init.append("")
+                continue
+            spec, kept, looped = _self_loops(tuple(map(ids.index, ids)))
+            axes.append([ids[s] for s in kept])
+            traced.append((("v", v), tuple(sorted(ids[s] for s in looped))))
+            init.append(spec)
+        return cls(keys, axes, masks, init, traced, legs_at)
+
+
+@functools.cache
+def _self_loops(first: tuple[int, ...]) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """For a vertex whose slot s carries the same axis as slot first[s] (the
+    first slot with that axis): the einsum subscripts that trace its
+    self-loops, its slots left open, and the first slot of each loop.  Nine
+    such patterns exist (one loop on 6 slot pairs, or two loops on 3)."""
+    letters = {p: string.ascii_letters[rank] for rank, p in enumerate(sorted(set(first)))}
+    kept = tuple(s for s in range(4) if first.count(first[s]) == 1)
+    looped = tuple(p for p in sorted(set(first)) if first.count(p) == 2)
+    subscript = "".join(letters[p] for p in first)
+    return f"{subscript}->{''.join(letters[first[s]] for s in kept)}", kept, looped
+
+
+def _greedy(
+    masks: list[int], bits: int, n: int = 0, bound: int = 0
+) -> tuple[list[tuple[int, int]] | None, int]:
+    """The greedy merge order over nodes with axis bit masks ``masks``, in
+    id order, of ``bits`` axis bits in all: (kept id, merged id) pairs.
+    With ``n``, also its multiply-adds at n, or (None, cost) once they
+    reach ``bound``."""
     # row[x] encodes x's best partner y, the least (arity, y) over live
     # y > x, as the integer (arity * count + x) * count + y, so the least
     # row is the least (arity, x, y) over all pairs.  No arity exceeds
     # the number of axis bits, so ``no_partner`` exceeds every real row.
-    count = len(keys)
-    no_partner = (legs_at + t.arity + 1) * count * count
+    masks = list(masks)
+    count = len(masks)
+    no_partner = (bits + 1) * count * count
     live = list(range(count))
     row = [no_partner] * count
 
@@ -176,35 +283,15 @@ def _plan(t: Tangle) -> ContractionPlan:
     for pos, x in enumerate(live):
         fill_row(x, live[pos + 1 :])
 
-    steps = []
-    compiled_steps = []
+    merges = []
+    cost = 0
     while len(live) > 1:
-        arity, pair = divmod(min(row), count * count)
-        i, j = divmod(pair, count)
-        shared = masks[i] & masks[j]
-        contracted = []
-        rest = shared
-        while rest:
-            low = rest & -rest
-            contracted.append(low.bit_length() - 1)
-            rest ^= low
-        left, right = axes_of[i], axes_of[j]
-        free_left = [x for x in left if not shared >> x & 1]
-        free_right = [x for x in right if not shared >> x & 1]
-        steps.append(ContractionStep(keys[i], keys[j], tuple(contracted), arity))
-        compiled_steps.append(
-            (
-                i,
-                j,
-                tuple(map(left.index, free_left + contracted)),
-                tuple(map(right.index, contracted + free_right)),
-                len(free_left),
-                len(contracted),
-                len(free_right),
-            )
-        )
-        peak = max(peak, arity)
-        axes_of[i] = free_left + free_right
+        i, j = divmod(min(row) % (count * count), count)
+        merges.append((i, j))
+        if n:
+            cost += n ** (masks[i] | masks[j]).bit_count()
+            if cost >= bound:
+                return None, cost
         merged = masks[i] = masks[i] ^ masks[j]
         live.remove(j)
         row[j] = no_partner
@@ -223,14 +310,142 @@ def _plan(t: Tangle) -> ContractionPlan:
                 fill_row(x, live[pos + 1 :])
             elif x > j:
                 break
+    return merges, cost
+
+
+def _relabel(merges: list[tuple[int, int]], order: list[int]) -> list[tuple[int, int]]:
+    """Merges over nodes relabelled so that node p is ``order[p]``, as
+    merges over the original ids in which each merged node keeps the lesser
+    original id of its two parts."""
+    held = list(order)
+    out = []
+    for p, q in merges:
+        a, b = sorted((held[p], held[q]))
+        out.append((a, b))
+        held[p] = a
+    return out
+
+
+def _compile(t: Tangle, nodes: _Nodes, merges: list[tuple[int, int]]) -> ContractionPlan:
+    """The plan merging ``nodes`` in the order ``merges``, each pair (i, j)
+    with i < j merging node j into node i."""
+    keys = nodes.keys
+    axes_of = list(nodes.axes)  # a merge replaces its slot's list, never edits it
+    masks = list(nodes.masks)
+    peak = max(map(len, axes_of), default=0)
+    steps = []
+    compiled_steps = []
+    for i, j in merges:
+        shared = masks[i] & masks[j]
+        contracted = []
+        rest = shared
+        while rest:
+            low = rest & -rest
+            contracted.append(low.bit_length() - 1)
+            rest ^= low
+        left, right = axes_of[i], axes_of[j]
+        free_left = [x for x in left if not shared >> x & 1]
+        free_right = [x for x in right if not shared >> x & 1]
+        arity = len(free_left) + len(free_right)
+        steps.append(ContractionStep(keys[i], keys[j], tuple(contracted), arity))
+        compiled_steps.append(
+            (
+                i,
+                j,
+                tuple(map(left.index, free_left + contracted)),
+                tuple(map(right.index, contracted + free_right)),
+                len(free_left),
+                len(contracted),
+                len(free_right),
+            )
+        )
+        peak = max(peak, arity)
+        axes_of[i] = free_left + free_right
+        masks[i] ^= masks[j]
 
     final = axes_of[0] if axes_of else []
+    legs_at = nodes.legs_at
     if sorted(final) != list(range(legs_at, legs_at + t.arity)):
         ids = [i if i < legs_at else legs_at - 1 - i for i in final]
         raise AssertionError(f"contraction left unexpected open axes {ids}")
     transpose = tuple(final.index(legs_at + l) for l in range(t.arity))
-    compiled = _Compiled(t.num_vertices, t.arity, tuple(init), tuple(compiled_steps), transpose)
-    return ContractionPlan(tuple(steps), tuple(traced), peak, compiled)
+    compiled = _Compiled(t.num_vertices, t.arity, tuple(nodes.init), tuple(compiled_steps), transpose)
+    return ContractionPlan(tuple(steps), tuple(nodes.traced), peak, compiled)
+
+
+class _Pool:
+    """Free complex buffers by entry count: at most ``_POOL_PER_SIZE`` of one
+    size and ``_POOL_BYTES`` in all; a full pool drops what it is given.
+    Threads that execute plans at once share it under its lock."""
+
+    def __init__(self) -> None:
+        self.free: dict[int, list[np.ndarray]] = {}
+        self.nbytes = 0
+        self.lock = threading.Lock()
+
+    def take(self, size: int) -> np.ndarray:
+        with self.lock:
+            bufs = self.free.get(size)
+            if bufs:
+                buf = bufs.pop()
+                self.nbytes -= buf.nbytes
+                return buf
+        return np.empty(size, dtype=complex)
+
+    def give(self, buf: np.ndarray) -> None:
+        with self.lock:
+            bufs = self.free.setdefault(buf.size, [])
+            if len(bufs) < _POOL_PER_SIZE and self.nbytes + buf.nbytes <= _POOL_BYTES:
+                bufs.append(buf)
+                self.nbytes += buf.nbytes
+
+
+_POOL = _Pool()
+
+
+def _matrix(array: np.ndarray, perm: tuple[int, ...], split: int, n: int, spent: list) -> np.ndarray:
+    """``array``, of shape (n,) * k, transposed by ``perm`` and reshaped to
+    a matrix whose rows run over its first ``split`` axes.  Where numpy's
+    reshape would copy a large one, the copy goes into a pooled buffer,
+    which is appended to ``spent``."""
+    view = array.transpose(perm)
+    k = len(perm)
+    rows, cols = n**split, n ** (k - split)
+    if rows * cols >= _POOL_MIN and array.flags.c_contiguous:
+        # With n >= 2 the reshape of a C-contiguous array is a view only if
+        # ``perm`` keeps the axes in order, or moves its last ``split`` axes
+        # to the front (the matrix is then in Fortran order).
+        start = perm[0]
+        if start not in (0, k - split) or perm != tuple(range(start, k)) + tuple(range(start)):
+            buf = _POOL.take(rows * cols)
+            np.copyto(buf.reshape(view.shape), view)
+            spent.append(buf)
+            view = buf
+    return view.reshape(rows, cols)
+
+
+def _merge_pooled(arrays: list, n: int, steps: tuple) -> None:
+    """`execute_plan`'s merges of ``arrays`` when some reach _POOL_MIN
+    entries: large operand copies and merge results live in buffers taken
+    from the pool.  Each is given back once used, except the one under the
+    last node, which may be returned."""
+    held: list[np.ndarray | None] = [None] * len(arrays)  # the buffer under arrays[p]
+    for a, b, perm_a, perm_b, free_a, shared, free_b in steps:
+        spent = [held[a], held[b]]
+        left = _matrix(arrays[a], perm_a, free_a, n, spent)
+        right = _matrix(arrays[b], perm_b, shared, n, spent)
+        rows, cols = n**free_a, n**free_b
+        held[a] = held[b] = None
+        if rows * cols >= _POOL_MIN:
+            held[a] = _POOL.take(rows * cols)
+            merged = np.dot(left, right, out=held[a].reshape(rows, cols))
+        else:
+            merged = np.dot(left, right)
+        for buf in spent:
+            if buf is not None:
+                _POOL.give(buf)
+        arrays[a] = merged.reshape((n,) * (free_a + free_b))
+        arrays[b] = None
 
 
 def execute_plan(entries: np.ndarray, n: int, t: Tangle, plan: ContractionPlan) -> np.ndarray:
@@ -247,11 +462,14 @@ def execute_plan(entries: np.ndarray, n: int, t: Tangle, plan: ContractionPlan) 
         np.eye(n, dtype=complex) if spec is None else (np.einsum(spec, entries) if spec else entries)
         for spec in c.init
     ]
-    for a, b, perm_a, perm_b, free_a, shared, free_b in c.steps:
-        left = arrays[a].transpose(perm_a).reshape(n**free_a, n**shared)
-        right = arrays[b].transpose(perm_b).reshape(n**shared, n**free_b)
-        arrays[a] = np.dot(left, right).reshape((n,) * (free_a + free_b))
-        arrays[b] = None
+    if n**plan.peak_arity < _POOL_MIN:  # no operand or result to pool
+        for a, b, perm_a, perm_b, free_a, shared, free_b in c.steps:
+            left = arrays[a].transpose(perm_a).reshape(n**free_a, n**shared)
+            right = arrays[b].transpose(perm_b).reshape(n**shared, n**free_b)
+            arrays[a] = np.dot(left, right).reshape((n,) * (free_a + free_b))
+            arrays[b] = None
+    else:
+        _merge_pooled(arrays, n, c.steps)
     if not arrays:
         return np.array(1.0 + 0j)
     if c.transpose:

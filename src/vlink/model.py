@@ -343,7 +343,7 @@ def save_model(model: VertexModel, path: str) -> None:
 def tangle_tensor(model: VertexModel, t: Tangle, plan: ContractionPlan | None = None) -> TangleTensor:
     """Evaluate a k-tangle to its tensor over leg labels 1..k."""
     if plan is None:
-        plan = plan_contraction(t)
+        plan = plan_contraction(t, model.n)
     values = execute_plan(model.entries, model.n, t, plan)
     if t.loop_count:
         values = values * float(model.n) ** t.loop_count

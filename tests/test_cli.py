@@ -527,6 +527,8 @@ def test_eval_out_of_memory_is_an_error(tmp_path):
     # At n=4 this plan's widest intermediate holds 4^14 complex entries (4 GiB).
     t = vl.random_tangle(np.random.default_rng(0), 0, 40)
     assert plan_contraction(t).peak_arity == 14
+    # The plan the CLI runs at n=4 still needs more than the child's cap.
+    assert plan_contraction(t, 4).peak_bytes(4) > 128 << 20
     vl.save_tangle(t, str(tmp_path / "big.vld"))
     vl.save_model(vl.random_model(4, np.random.default_rng(0)), str(tmp_path / "n4.json"))
     proc = subprocess.run(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -205,29 +206,247 @@ def test_plans_do_not_depend_on_hash_seed():
     assert len(digests) == 1, digests
 
 
-def test_execute_matches_reference_bitwise():
-    # The compiled executor performs the transposes, reshapes and dots of
-    # the reference's tensordot calls on the same operands in the same
-    # order, so every bit of the result agrees.
+def _seeded_cases():
+    """(tangle, n, vertex tensor) triples with 0-24 vertices, 0-6 legs and
+    n in 1..4, drawn from one seeded generator."""
     rng = np.random.default_rng(41)
     entries = {n: vl.random_model(n, rng).entries for n in (1, 2, 3, 4)}
-    seen = {"self_loops": 0, "leg_to_leg": 0, "loops": 0, "empty": 0, "outer": 0}
     for num_vertices in range(25):
         for arity in range(0, 7, 2):
             t = vl.random_tangle(rng, arity, num_vertices, int(rng.integers(0, 2)))
             n = int(rng.integers(1, 5))
-            plan = plan_contraction(t)
-            got = execute_plan(entries[n], n, t, plan)
-            ref = reference_execute(entries[n], n, t, plan)
-            assert got.shape == ref.shape == (n,) * arity, t
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), t
-            seen["self_loops"] += bool(plan.traced_at_init)
-            seen["leg_to_leg"] += any(a[0] == b[0] == vl.LEG for a, b in t.edges)
-            seen["loops"] += t.loop_count > 0
-            seen["empty"] += not t.edges
-            # A merge with no shared axis is an outer product: (n**fa, 1) by (1, n**fb).
-            seen["outer"] += any(not step.contracted for step in plan.steps)
+            yield t, n, entries[n]
+
+
+def test_execute_matches_reference_bitwise():
+    # The compiled executor performs the transposes, reshapes and dots of
+    # the reference's tensordot calls on the same operands in the same
+    # order, so every bit of the result agrees.
+    seen = {"self_loops": 0, "leg_to_leg": 0, "loops": 0, "empty": 0, "outer": 0}
+    for t, n, entries in _seeded_cases():
+        plan = plan_contraction(t)
+        got = execute_plan(entries, n, t, plan)
+        ref = reference_execute(entries, n, t, plan)
+        assert got.shape == ref.shape == (n,) * t.arity, t
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), t
+        seen["self_loops"] += bool(plan.traced_at_init)
+        seen["leg_to_leg"] += any(a[0] == b[0] == vl.LEG for a, b in t.edges)
+        seen["loops"] += t.loop_count > 0
+        seen["empty"] += not t.edges
+        # A merge with no shared axis is an outer product: (n**fa, 1) by (1, n**fb).
+        seen["outer"] += any(not step.contracted for step in plan.steps)
     assert min(seen.values()) > 0, seen
+
+
+def test_plan_costs_match_reference_tensordots(monkeypatch):
+    # peak_bytes is the largest tensordot result the reference builds, and
+    # madds the sum over its tensordots of n^(axes of both operands).
+    built: list[tuple[int, int]] = []
+    tensordot = np.tensordot
+
+    def recording(a, b, axes):
+        out = tensordot(a, b, axes)
+        built.append((out.nbytes, a.size * b.size // np.prod([a.shape[x] for x in axes[0]], dtype=int)))
+        return out
+
+    monkeypatch.setattr(np, "tensordot", recording)
+    searched = 0
+    for t, n, entries in _seeded_cases():
+        greedy = plan_contraction(t)
+        for plan in (greedy, plan_contraction(t, n)):
+            built.clear()
+            reference_execute(entries, n, t, plan)
+            assert len(built) == len(plan.steps), t
+            assert plan.peak_bytes(n) == max((nbytes for nbytes, _ in built), default=0), t
+            assert plan.madds(n) == sum(madds for _, madds in built), t
+        searched += plan_contraction(t, n) != greedy
+    assert searched > 0
+
+
+def _costly_cases():
+    """Closed random diagrams of the sizes `vlink eval` meets whose greedy
+    plan reaches the search threshold: 16-24 vertices at n=3 and 12-15 at
+    n=4, as (tangle, n, vertex tensor, greedy plan).  Greedy plans with an
+    intermediate above 16 MiB are left out to keep the test's memory small."""
+    rng = np.random.default_rng(71)
+    entries = {n: vl.random_model(n, rng).entries for n in (3, 4)}
+    cases = []
+    while len(cases) < 24:
+        n = int(rng.integers(3, 5))
+        t = vl.random_tangle(rng, 0, int(rng.integers(*{3: (16, 25), 4: (12, 16)}[n])), int(rng.integers(0, 2)))
+        greedy = plan_contraction(t)
+        if greedy.madds(n) >= vlink.contraction._SEARCH_MADDS and greedy.peak_bytes(n) <= 16 << 20:
+            cases.append((t, n, entries[n], greedy))
+    return cases
+
+
+def test_searched_plans_are_cheaper_and_replay_bitwise():
+    # A searched plan is never costlier than greedy at n, is replaced only
+    # by a strictly cheaper one, runs bit for bit like the reference on the
+    # same plan, and agrees with the greedy plan's value to 1e-12 relative.
+    changed = 0
+    for t, n, entries, greedy in _costly_cases():
+        plan = plan_contraction(t, n)
+        assert plan.madds(n) <= greedy.madds(n), t
+        if plan != greedy:
+            changed += 1
+            assert plan.madds(n) < greedy.madds(n), t
+        got = execute_plan(entries, n, t, plan)
+        ref = reference_execute(entries, n, t, plan)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), t
+        want = complex(execute_plan(entries, n, t, greedy))
+        assert abs(complex(got) - want) <= 1e-12 * abs(want), t
+    assert changed >= 12, changed
+
+
+def test_plans_below_the_search_threshold_are_greedy(small_corpus):
+    for t in small_corpus:
+        for n in (1, 2, 3, 4):
+            assert plan_contraction(t, n).madds(n) < vlink.contraction._SEARCH_MADDS
+            assert plan_contraction(t, n) == plan_contraction(t), (t, n)
+
+
+_SEARCH_DIGEST = """
+import hashlib
+import numpy as np
+import vlink as vl
+rng = np.random.default_rng(62)
+digest = hashlib.sha256()
+changed = 0
+for _ in range(40):
+    n = int(rng.integers(3, 5))
+    t = vl.random_tangle(rng, 0, int(rng.integers(*{3: (16, 25), 4: (12, 16)}[n])), int(rng.integers(0, 2)))
+    plan = vl.plan_contraction(t, n)
+    changed += plan != vl.plan_contraction(t)
+    digest.update(repr(plan).encode() + repr(plan.compiled).encode())
+print(changed, digest.hexdigest())
+"""
+
+
+def test_searched_plans_do_not_depend_on_hash_seed():
+    path = os.pathsep.join(sys.path)  # the child imports this vlink
+    outputs = set()
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SEARCH_DIGEST],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
+    (output,) = outputs
+    assert int(output.split()[0]) > 0, output
+
+
+def _wide_tangle(rng: np.random.Generator, arity: int, num_vertices: int, n: int) -> vl.Tangle:
+    """A random tangle whose greedy plan has a merge result, before the
+    last, of at least the pool's minimum size at ``n``."""
+    while True:
+        t = vl.random_tangle(rng, arity, num_vertices)
+        steps = plan_contraction(t).compiled.steps[:-1]
+        if any(n ** (fa + fb) >= vlink.contraction._POOL_MIN for _, _, _, _, fa, _, fb in steps):
+            return t
+
+
+def test_pooled_buffers_keep_results_apart(monkeypatch):
+    # Plans A and B share pooled buffer sizes, and C's last merge leaves
+    # its legs in order, so its result is the merge's own buffer.  Run A,
+    # B, C, A, B, C: each result is byte-equal to the reference, and no
+    # result's buffer goes back to the pool, so writing into one reaches no
+    # later result, and a later run changes no earlier result.
+    pool = vlink.contraction._Pool()
+    monkeypatch.setattr(vlink.contraction, "_POOL", pool)
+    rng = np.random.default_rng(81)
+    entries = {n: vl.random_model(n, rng).entries for n in (5, 10)}
+    chain = vl.parse_tangle("x v1 a b c d\nx v2 c d e f\nleg 1 a\nleg 2 b\nleg 3 e\nleg 4 f")
+    cases = [(_wide_tangle(rng, 6, 6, 5), 5), (_wide_tangle(rng, 6, 6, 5), 5), (chain, 10)]
+    assert plan_contraction(chain).compiled.transpose == (0, 1, 2, 3)
+    kept = []
+    for t, n in cases * 2:
+        plan = plan_contraction(t)
+        got = execute_plan(entries[n], n, t, plan)
+        assert got.tobytes() == reference_execute(entries[n], n, t, plan).tobytes(), t
+        for earlier, snapshot in kept:
+            assert earlier.tobytes() == snapshot, t
+        got[...] = np.nan
+        kept.append((got, got.tobytes()))
+    assert pool.nbytes > 0
+
+
+def test_threads_share_the_pool(monkeypatch):
+    # More threads than cores execute pooled plans at once, switching often:
+    # every run returns the reference bytes, and the pool's byte count
+    # still equals the bytes it holds.
+    pool = vlink.contraction._Pool()
+    monkeypatch.setattr(vlink.contraction, "_POOL", pool)
+    rng = np.random.default_rng(84)
+    n = 5
+    entries = vl.random_model(n, rng).entries
+    cases = []
+    for _ in range(2):
+        t = _wide_tangle(rng, 6, 6, n)
+        plan = plan_contraction(t)
+        cases.append((t, plan, reference_execute(entries, n, t, plan).tobytes()))
+
+    def run(order: int) -> bool:
+        return all(
+            execute_plan(entries, n, t, plan).tobytes() == want
+            for _ in range(10)
+            for t, plan, want in cases[order % 2 :] + cases[: order % 2]
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as threads:
+            futures = [threads.submit(run, order) for order in range(4)]
+            assert all(future.result(timeout=60) for future in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool.nbytes == sum(buf.nbytes for bufs in pool.free.values() for buf in bufs) > 0
+
+
+def test_pool_stays_bounded_after_a_flood_of_wide_plans(monkeypatch):
+    pool = vlink.contraction._Pool()
+    bound = 2 << 20
+    monkeypatch.setattr(vlink.contraction, "_POOL", pool)
+    monkeypatch.setattr(vlink.contraction, "_POOL_BYTES", bound)
+    rng = np.random.default_rng(82)
+    models = {n: vl.random_model(n, rng).entries for n in (5, 6, 7)}
+    sizes, most = set(), 0
+    for n, arity in [(5, 6), (6, 4), (7, 4)] * 4:
+        t = _wide_tangle(rng, arity, 6, n)
+        plan = plan_contraction(t)
+        got = execute_plan(models[n], n, t, plan)
+        assert got.tobytes() == reference_execute(models[n], n, t, plan).tobytes(), t
+        free = [buf for bufs in pool.free.values() for buf in bufs]
+        assert pool.nbytes == sum(buf.nbytes for buf in free) <= bound
+        assert max(map(len, pool.free.values())) <= vlink.contraction._POOL_PER_SIZE
+        sizes.update(buf.size for buf in free)
+        most = max(most, pool.nbytes)
+    assert len(sizes) >= 2 and most > bound // 2, (sizes, most)
+
+
+def test_pooled_copies_go_where_reshape_copies():
+    # An operand goes into a pooled buffer exactly when numpy's reshape of
+    # the transposed array would copy it, so every dot sees the operands it
+    # would see without the pool.
+    rng = np.random.default_rng(83)
+    for n, k in ((2, 13), (3, 9), (4, 7)):
+        array = rng.standard_normal((n,) * k) + 0j
+        ident = tuple(range(k))
+        perms = [ident[s:] + ident[:s] for s in range(k)]
+        perms += [tuple(int(x) for x in rng.permutation(k)) for _ in range(30)]
+        for perm in perms:
+            for split in range(k + 1):
+                spent = []
+                got = vlink.contraction._matrix(array, perm, split, n, spent)
+                want = array.transpose(perm).reshape(n**split, n ** (k - split))
+                assert got.tobytes() == want.tobytes()
+                assert bool(spent) == (not np.shares_memory(want, array)), (n, perm, split)
+                assert all(not np.shares_memory(buf, array) for buf in spent)
 
 
 def test_execute_rejects_plan_of_another_tangle():
