@@ -54,8 +54,8 @@ bit-identical to ``tensordot``'s.  It keeps arrays of at least
 results) in buffers reused from a bounded free list, so that they are not
 mapped and page-faulted afresh on every call; the copies and dots are the
 same, and the buffer under a returned array never goes back to the list.
-Plans are cached per tangle and n, least recently used first out, at most
-`PLAN_CACHE_BOUND` of them.
+Greedy plans are cached per tangle, and searched plans apart per tangle
+and n, least recently used first out, at most `PLAN_CACHE_BOUND` of each.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ __all__ = [
     "execute_plan",
 ]
 
-#: Most plans `plan_contraction` keeps, least recently used first out.
+#: Most greedy plans, and most searched plans, that `plan_contraction`
+#: keeps, least recently used first out.
 #: `gram_psd` evaluates one basis of isomorphism classes under every model,
 #: and a move check plans each diagram before and after a move.  Over the
 #: first 2,000 ops of the benchmark's characterize workload (seed 1) the hit
@@ -104,6 +105,9 @@ _SEARCH_SEED = 0
 _POOL_MIN = 1 << 13
 _POOL_PER_SIZE = 2
 _POOL_BYTES = 32 << 20
+
+#: The dtype execute_plan runs vertex tensors in.
+_COMPLEX = np.dtype(complex)
 
 
 class ContractionStep(NamedTuple):
@@ -154,32 +158,38 @@ class ContractionPlan:
 
 
 def plan_contraction(t: Tangle, n: int | None = None) -> ContractionPlan:
-    """Pairwise merge plan for evaluating ``t``, from the plan cache when an
-    equal tangle was planned recently with the same ``n``.  Without ``n``
-    it is the greedy plan; with it, a plan costly at ``n`` is searched for a
-    cheaper one (see the module docstring)."""
-    return _plan(t, n)
+    """Pairwise merge plan for evaluating ``t``: the greedy plan, from the
+    plan cache when an equal tangle was planned recently.  With ``n``, a
+    greedy plan costly at ``n`` is searched for a cheaper one (see the
+    module docstring)."""
+    plan = _plan(t)
+    # No merge spans more than twice the peak arity, which bounds the
+    # multiply-adds of small plans without summing them.
+    if n is None or len(plan.steps) * n ** (2 * plan.peak_arity) < _SEARCH_MADDS or plan.madds(n) < _SEARCH_MADDS:
+        return plan
+    return _searched(t, n)
 
 
 def plan_cache_info() -> CacheInfo:
-    """Hits and misses of `plan_contraction`'s cache since import, its
-    current size and its bound."""
+    """Hits and misses of `plan_contraction`'s cache of greedy plans since
+    import, its current size and its bound."""
     return CacheInfo.of(_plan)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_BOUND)
-def _plan(t: Tangle, n: int | None) -> ContractionPlan:
+def _plan(t: Tangle) -> ContractionPlan:
     nodes = _Nodes.of(t)
-    bits = nodes.legs_at + t.arity
-    merges, _ = _greedy(nodes.masks, bits)
-    plan = _compile(t, nodes, merges)
-    # No merge spans more than twice the peak arity, which bounds the
-    # multiply-adds of small plans without summing them.
-    if n is None or len(plan.steps) * n ** (2 * plan.peak_arity) < _SEARCH_MADDS:
-        return plan
+    merges, _ = _greedy(nodes.masks, nodes.legs_at + t.arity)
+    return _compile(t, nodes, merges)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_BOUND)
+def _searched(t: Tangle, n: int) -> ContractionPlan:
+    """The cheapest plan at ``n`` among ``t``'s greedy plan and greedy
+    passes over shuffled node orders."""
+    plan = _plan(t)
     best = plan.madds(n)
-    if best < _SEARCH_MADDS:
-        return plan
+    nodes = _Nodes.of(t)
     found = None
     rng = random.Random(_SEARCH_SEED)
     order = list(range(len(nodes.keys)))
@@ -187,7 +197,7 @@ def _plan(t: Tangle, n: int | None) -> ContractionPlan:
     while tried < _SEARCH_PASSES and tried * _SEARCH_MADDS < best:
         tried += 1
         rng.shuffle(order)
-        merges, cost = _greedy([nodes.masks[x] for x in order], bits, n, best)
+        merges, cost = _greedy([nodes.masks[x] for x in order], nodes.legs_at + t.arity, n, best)
         if merges is not None:
             best, found = cost, _relabel(merges, order)
     return plan if found is None else _compile(t, nodes, found)
@@ -410,66 +420,61 @@ def _matrix(array: np.ndarray, perm: tuple[int, ...], split: int, n: int, spent:
     which is appended to ``spent``."""
     view = array.transpose(perm)
     k = len(perm)
-    rows, cols = n**split, n ** (k - split)
-    if rows * cols >= _POOL_MIN and array.flags.c_contiguous:
+    if array.size >= _POOL_MIN and array.flags.c_contiguous:
         # With n >= 2 the reshape of a C-contiguous array is a view only if
         # ``perm`` keeps the axes in order, or moves its last ``split`` axes
         # to the front (the matrix is then in Fortran order).
         start = perm[0]
         if start not in (0, k - split) or perm != tuple(range(start, k)) + tuple(range(start)):
-            buf = _POOL.take(rows * cols)
+            buf = _POOL.take(array.size)
             np.copyto(buf.reshape(view.shape), view)
             spent.append(buf)
             view = buf
-    return view.reshape(rows, cols)
-
-
-def _merge_pooled(arrays: list, n: int, steps: tuple) -> None:
-    """`execute_plan`'s merges of ``arrays`` when some reach _POOL_MIN
-    entries: large operand copies and merge results live in buffers taken
-    from the pool.  Each is given back once used, except the one under the
-    last node, which may be returned."""
-    held: list[np.ndarray | None] = [None] * len(arrays)  # the buffer under arrays[p]
-    for a, b, perm_a, perm_b, free_a, shared, free_b in steps:
-        spent = [held[a], held[b]]
-        left = _matrix(arrays[a], perm_a, free_a, n, spent)
-        right = _matrix(arrays[b], perm_b, shared, n, spent)
-        rows, cols = n**free_a, n**free_b
-        held[a] = held[b] = None
-        if rows * cols >= _POOL_MIN:
-            held[a] = _POOL.take(rows * cols)
-            merged = np.dot(left, right, out=held[a].reshape(rows, cols))
-        else:
-            merged = np.dot(left, right)
-        for buf in spent:
-            if buf is not None:
-                _POOL.give(buf)
-        arrays[a] = merged.reshape((n,) * (free_a + free_b))
-        arrays[b] = None
+    return view.reshape(n**split, n ** (k - split))
 
 
 def execute_plan(entries: np.ndarray, n: int, t: Tangle, plan: ContractionPlan) -> np.ndarray:
-    """Contract ``t`` with vertex tensor ``entries``; returns the open tensor
-    over legs 1..k in label order (a 0-d array for diagrams), without the
-    vertexless-loop factor."""
+    """Contract ``t`` with vertex tensor ``entries``, taken as complex;
+    returns the open tensor over legs 1..k in label order (a 0-d array for
+    diagrams), without the vertexless-loop factor."""
     c = plan.compiled
     if c.num_vertices != t.num_vertices or c.arity != t.arity:
         raise ValueError(
             f"plan for a tangle with {c.num_vertices} vertices and {c.arity} legs"
             f" cannot contract one with {t.num_vertices} vertices and {t.arity} legs"
         )
+    if entries.dtype is not _COMPLEX:  # the check is cheaper than np.asarray
+        entries = np.asarray(entries, dtype=complex)
     arrays = [
         np.eye(n, dtype=complex) if spec is None else (np.einsum(spec, entries) if spec else entries)
         for spec in c.init
     ]
-    if n**plan.peak_arity < _POOL_MIN:  # no operand or result to pool
-        for a, b, perm_a, perm_b, free_a, shared, free_b in c.steps:
-            left = arrays[a].transpose(perm_a).reshape(n**free_a, n**shared)
-            right = arrays[b].transpose(perm_b).reshape(n**shared, n**free_b)
-            arrays[a] = np.dot(left, right).reshape((n,) * (free_a + free_b))
-            arrays[b] = None
-    else:
-        _merge_pooled(arrays, n, c.steps)
+    # A merge whose operands and result all have fewer than _POOL_MIN
+    # entries runs as np.tensordot would; sending those through _matrix
+    # cost 3-4% per call on the small plans of the characterize and moves
+    # benchmarks.  In a larger merge, large operand copies and results live
+    # in buffers taken from the pool, each given back once used, except the
+    # one under the last node, which may be returned.
+    held: dict[int, np.ndarray] = {}  # the buffer under arrays[p]
+    for a, b, perm_a, perm_b, free_a, shared, free_b in c.steps:
+        rows, inner, cols = n**free_a, n**shared, n**free_b
+        if rows * inner < _POOL_MIN and inner * cols < _POOL_MIN and rows * cols < _POOL_MIN:
+            left = arrays[a].transpose(perm_a).reshape(rows, inner)
+            right = arrays[b].transpose(perm_b).reshape(inner, cols)
+            merged = np.dot(left, right)
+        else:
+            spent = [buf for buf in (held.pop(a, None), held.pop(b, None)) if buf is not None]
+            left = _matrix(arrays[a], perm_a, free_a, n, spent)
+            right = _matrix(arrays[b], perm_b, shared, n, spent)
+            if rows * cols < _POOL_MIN:
+                merged = np.dot(left, right)
+            else:
+                held[a] = _POOL.take(rows * cols)
+                merged = np.dot(left, right, out=held[a].reshape(rows, cols))
+            for buf in spent:
+                _POOL.give(buf)
+        arrays[a] = merged.reshape((n,) * (free_a + free_b))
+        arrays[b] = None
     if not arrays:
         return np.array(1.0 + 0j)
     if c.transpose:

@@ -375,6 +375,21 @@ def test_pooled_buffers_keep_results_apart(monkeypatch):
     assert pool.nbytes > 0
 
 
+def test_real_entries_run_as_complex_through_pooled_merges():
+    # Real and single-precision vertex tensors are taken as complex, so a
+    # plan whose merges reach the pool gives the reference's bytes on the
+    # complex tensor.
+    rng = np.random.default_rng(85)
+    n = 5
+    t = _wide_tangle(rng, 6, 6, n)
+    plan = plan_contraction(t)
+    real = rng.standard_normal((n,) * 4)
+    for entries in (real, real.astype(np.complex64)):
+        want = reference_execute(entries.astype(complex), n, t, plan)
+        got = execute_plan(entries, n, t, plan)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_threads_share_the_pool(monkeypatch):
     # More threads than cores execute pooled plans at once, switching often:
     # every run returns the reference bytes, and the pool's byte count
@@ -492,3 +507,12 @@ def test_plan_cache_hits_equal_tangles_and_stays_bounded(empty_plan_cache):
     again = plan_contraction(vl.loop_diagram(0))
     assert again == oldest and again is not oldest
     assert vl.plan_cache_info() == (hits + 1, 2 + len(flood), PLAN_CACHE_BOUND, PLAN_CACHE_BOUND)
+
+
+def test_plans_below_the_search_threshold_share_one_cache_entry(empty_plan_cache):
+    # Below the search threshold the plan at every n is the greedy plan,
+    # so a tangle planned without n and at n = 2, 3, 4 is planned once.
+    t = vl.parse_tangle("x v1 a b c d\nx v2 c d e f\nleg 1 a\nleg 2 b\nleg 3 e\nleg 4 f")
+    plan = plan_contraction(t)
+    assert all(plan_contraction(t, n) is plan for n in (2, 3, 4))
+    assert vl.plan_cache_info() == (3, 1, 1, PLAN_CACHE_BOUND)
