@@ -24,10 +24,21 @@ The cost is one `Tangle` and one key per candidate: (k, max_vertices) =
 (4, 3) makes 51,540 candidates for 46,374 classes, where a walk over every
 perfect matching of up to 16 endpoints makes over two million.  The result
 is sorted by canonical key.
+
+A basis depends on (arity, max_vertices) alone, so `gram_psd` and
+`nondegeneracy_probe` take theirs from a cache of at most
+`BASIS_CACHE_BOUND` tuples, least recently used first out
+(`basis_cache_info` reports it); `enumerate_tangles` itself builds a new
+list on every call and keeps nothing.  A cached basis holds about 1 KB per
+tangle (10.1 MiB at (12, 0), 10,395 tangles; 6.5 MiB at (0, 4), 6,584),
+less than the 16 |B|^2 bytes of its Gram once |B| exceeds 64.  Rows or a
+Gram that cannot be allocated empty the cache, so no basis too large to
+use stays behind.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +49,7 @@ from .algebra import (
     qt_glue,
     tangle_derivative,
 )
-from .diagram import LEG, Endpoint, Tangle, build_tangle, canonical_key
+from .diagram import LEG, CacheInfo, Endpoint, Tangle, build_tangle, canonical_key
 from .model import (
     TangleTensor,
     VertexModel,
@@ -49,7 +60,9 @@ from .model import (
 )
 
 __all__ = [
+    "BASIS_CACHE_BOUND",
     "ENUMERATION_ENDPOINT_BUDGET",
+    "basis_cache_info",
     "enumerate_tangles",
     "random_tangle",
     "KernelReport",
@@ -63,6 +76,10 @@ __all__ = [
 
 #: Exhaustive enumeration refuses beyond this many endpoints (k + 4v).
 ENUMERATION_ENDPOINT_BUDGET = 16
+
+#: Most enumerated bases `gram_psd` and `nondegeneracy_probe` keep, keyed
+#: by (arity, max_vertices), least recently used first out.
+BASIS_CACHE_BOUND = 8
 
 
 def _candidates(k: int, max_vertices: int) -> list[Tangle]:
@@ -252,14 +269,32 @@ class GramReport:
         return self.min_eigenvalue >= -tol * scale
 
 
+def basis_cache_info() -> CacheInfo:
+    """Hits and misses of the cache of enumerated bases behind `gram_psd`
+    and `nondegeneracy_probe` since import, its current size and its
+    bound."""
+    return CacheInfo.of(_basis)
+
+
+@functools.lru_cache(maxsize=BASIS_CACHE_BOUND)
+def _basis(arity: int, max_vertices: int) -> tuple[Tangle, ...]:
+    """`enumerate_tangles(arity, max_vertices)` as a tuple, which no caller
+    can change."""
+    return tuple(enumerate_tangles(arity, max_vertices))
+
+
 def _basis_gram(
     model: VertexModel, arity: int, max_vertices: int
-) -> tuple[list[Tangle], np.ndarray, np.ndarray]:
+) -> tuple[tuple[Tangle, ...], np.ndarray, np.ndarray]:
     """The enumerated basis, its tensors as rows, and their Gram matrix
     ``rows @ rows.T``.  The basis is never empty, so neither is the matrix."""
-    basis = enumerate_tangles(arity, max_vertices)
-    rows = np.array([tangle_tensor(model, t).values.ravel() for t in basis])
-    return basis, rows, rows @ rows.T
+    basis = _basis(arity, max_vertices)
+    try:
+        rows = np.array([tangle_tensor(model, t).values.ravel() for t in basis])
+        return basis, rows, rows @ rows.T
+    except MemoryError:
+        _basis.cache_clear()  # keep no basis whose Gram does not fit
+        raise
 
 
 def _rank(a: np.ndarray, rel_tol: float) -> int:
@@ -285,7 +320,7 @@ def gram_psd(model: VertexModel, max_vertices: int, arity: int = 4) -> GramRepor
     herm = float(np.max(np.abs(gram.imag)))
     sym = (gram.real + gram.real.T) / 2.0
     eigs = np.linalg.eigvalsh(sym)
-    return GramReport(tuple(basis), gram, float(eigs.min()), herm)
+    return GramReport(basis, gram, float(eigs.min()), herm)
 
 
 def nondegeneracy_probe(

@@ -13,7 +13,8 @@ and are joined by outer products.
 Axis ids: internal edges get nonnegative integers (their position in the
 sorted edge list), the axis feeding leg ``l`` gets id ``-l``.  Edges joining
 two legs contribute an identity-matrix node so that the open output axes are
-always exactly ``-1..-k``.
+always exactly ``-1..-k``; every such node reads one read-only identity per
+n, and a plan without merges returns a copy of its one node.
 
 The planner holds each node's open axes as one integer bit mask (an
 internal edge's bit is its axis id, the legs' bits follow), so a pair's
@@ -105,6 +106,10 @@ _SEARCH_SEED = 0
 _POOL_MIN = 1 << 13
 _POOL_PER_SIZE = 2
 _POOL_BYTES = 32 << 20
+
+#: State counts whose read-only identity matrix execute_plan keeps for
+#: leg-to-leg edges, least recently used first out.
+_IDENTITY_CACHE_BOUND = 16
 
 #: The dtype execute_plan runs vertex tensors in.
 _COMPLEX = np.dtype(complex)
@@ -433,6 +438,15 @@ def _matrix(array: np.ndarray, perm: tuple[int, ...], split: int, n: int, spent:
     return view.reshape(n**split, n ** (k - split))
 
 
+@functools.lru_cache(maxsize=_IDENTITY_CACHE_BOUND)
+def _identity(n: int) -> np.ndarray:
+    """The n x n complex identity, read-only: one per n, shared by every
+    plan's leg-to-leg edges."""
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
 def execute_plan(entries: np.ndarray, n: int, t: Tangle, plan: ContractionPlan) -> np.ndarray:
     """Contract ``t`` with vertex tensor ``entries``, taken as complex;
     returns the open tensor over legs 1..k in label order (a 0-d array for
@@ -446,7 +460,7 @@ def execute_plan(entries: np.ndarray, n: int, t: Tangle, plan: ContractionPlan) 
     if entries.dtype is not _COMPLEX:  # the check is cheaper than np.asarray
         entries = np.asarray(entries, dtype=complex)
     arrays = [
-        np.eye(n, dtype=complex) if spec is None else (np.einsum(spec, entries) if spec else entries)
+        _identity(n) if spec is None else (np.einsum(spec, entries) if spec else entries)
         for spec in c.init
     ]
     # A merge whose operands and result all have fewer than _POOL_MIN
@@ -477,6 +491,10 @@ def execute_plan(entries: np.ndarray, n: int, t: Tangle, plan: ContractionPlan) 
         arrays[b] = None
     if not arrays:
         return np.array(1.0 + 0j)
+    if not c.steps:
+        # The one node may be the shared identity or the caller's vertex
+        # tensor, so return a copy of it.
+        return np.array(np.transpose(arrays[0], c.transpose), order="C")
     if c.transpose:
         return np.ascontiguousarray(np.transpose(arrays[0], c.transpose))
     return arrays[0]

@@ -8,8 +8,9 @@ order by comparing every pair of nodes with freshly sorted ids, and plan
 execution over a dict of nodes that looks up every axis by id, model
 files read by one Python store per entry, the tangle basis by walking
 every perfect matching of the endpoints, leg relabelling and vertex
-deletion by a mapping function and `build_tangle`, and rewriting by cutting
-with `build_tangle` and gluing through a connector graph of every edge.
+deletion by a mapping function and `build_tangle`, rewriting by cutting
+with `build_tangle` and gluing through a connector graph of every edge, and
+the determinant tangle rebuilt on every call.
 None of it imports the contraction planner or the model-file loader.  The
 basis walk alone deduplicates by `canonical_key`, which
 `brute_isomorphic` checks elsewhere: it judges the generation, not the key.
@@ -30,10 +31,11 @@ from vlink import (
     VertexModel,
     build_tangle,
     canonical_key,
+    permutation_matching,
     strand_tangle,
     symmetrize,
 )
-from vlink.algebra import _from_items
+from vlink.algebra import _from_items, _parity_sign
 from vlink.characterize import ENUMERATION_ENDPOINT_BUDGET
 from vlink.diagram import Endpoint
 
@@ -362,6 +364,15 @@ def reference_relabel_legs(t: Tangle, perm: dict[int, int]) -> Tangle:
         [(mapped(a), mapped(b)) for a, b in t.edges],
         t.loop_count,
     )
+
+
+def reference_det_tangle(m: int) -> QuantumTangle:
+    """The determinant tangle built afresh on every call, one permutation
+    matching per permutation of 0..m-1 with its sign."""
+    items = []
+    for perm in itertools.permutations(range(m)):
+        items.append((permutation_matching(perm), complex(_parity_sign(perm))))
+    return _from_items(items)
 
 
 def reference_tangle_derivative(g: Tangle) -> QuantumTangle:

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 import vlink as vl
 from vlink import LEG, QuantumTangle
 
-from oracles import naive_tangle_tensor, reference_glue, reference_tangle_derivative
+from oracles import (
+    naive_tangle_tensor,
+    reference_det_tangle,
+    reference_glue,
+    reference_tangle_derivative,
+)
 
 
 def _cycle_count(perm: tuple[int, ...]) -> int:
@@ -231,6 +236,27 @@ def test_det_tangle_pairs_to_matrix_determinant():
                 sign = -sign
         expected += sign * n ** _cycle_count(perm)
     assert abs(value - expected) < 1e-9
+
+
+def test_det_tangle_matches_the_uncached_builder():
+    # Built once per m and shared: the same terms, bit for bit, as a fresh
+    # build, whatever m was asked for before.
+    for m in (3, 1, 2, 3, 6, 4, 2, 5, 1):
+        assert vl.det_tangle(m) == reference_det_tangle(m), m
+        assert vl.det_tangle(m) is vl.det_tangle(m)
+
+
+def test_det_tangle_checks_its_bounds_on_every_call():
+    vl.det_tangle(4)  # cached, yet a lower bound still refuses it
+    for _ in range(2):
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="det_tangle needs m >= 1"):
+                vl.det_tangle(m)
+        with pytest.raises(ValueError, match=r"det_tangle\(m=7\) would have 7! terms, above the bound m <= 6"):
+            vl.det_tangle(7)
+        with pytest.raises(ValueError, match=r"det_tangle\(m=4\) would have 4! terms, above the bound m <= 3"):
+            vl.det_tangle(4, max_m=3)
+    assert vl.det_tangle(4) == reference_det_tangle(4)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import vlink as vl
+import vlink.characterize
 from vlink import LEG
-from vlink.characterize import _candidates
+from vlink.characterize import BASIS_CACHE_BOUND, _candidates, _rank
 
 from oracles import brute_isomorphic, reference_enumerate_tangles
 
@@ -224,6 +225,71 @@ def test_nondegeneracy_probe_ranks_agree():
         gram_rank, span_rank = vl.nondegeneracy_probe(model, arity, max_vertices=1)
         assert gram_rank == span_rank
         assert gram_rank >= 1
+
+
+@pytest.fixture
+def empty_basis_cache():
+    """An empty basis cache, emptied again afterwards."""
+    vlink.characterize._basis.cache_clear()
+    yield
+    vlink.characterize._basis.cache_clear()
+
+
+@pytest.mark.parametrize("seed, real", [(60, True), (61, True), (62, False), (63, False)])
+def test_cached_bases_give_the_grams_of_a_fresh_enumeration(empty_basis_cache, seed, real):
+    # Each size twice (a miss, then a hit), after sizes sharing its arity or
+    # its vertex bound: the same Gram bits and ranks as a fresh basis.
+    model = vl.random_model(2, np.random.default_rng(seed), real=real)
+    for arity, max_vertices in [(2, 0), (2, 1), (4, 1), (0, 1), (0, 2)] * 2:
+        fresh = vl.enumerate_tangles(arity, max_vertices)
+        rows = np.array([vl.tangle_tensor(model, t).values.ravel() for t in fresh])
+        gram = rows @ rows.T
+        if real:
+            report = vl.gram_psd(model, max_vertices, arity)
+            assert report.basis == tuple(fresh)
+            assert report.gram.tobytes() == gram.tobytes(), (arity, max_vertices)
+        ranks = vl.nondegeneracy_probe(model, arity, max_vertices)
+        assert ranks == (_rank(gram, 1e-8), _rank(rows, 1e-8)), (arity, max_vertices)
+    assert vl.basis_cache_info().misses == 5
+
+
+def test_callers_cannot_change_a_cached_basis(empty_basis_cache):
+    model = vl.random_model(2, np.random.default_rng(64), real=True)
+    before = vl.gram_psd(model, max_vertices=1)
+    assert isinstance(before.basis, tuple)
+    listed = vl.enumerate_tangles(4, 1)
+    listed.reverse()
+    del listed[5:]
+    after = vl.gram_psd(model, max_vertices=1)
+    assert vl.basis_cache_info().hits == 1
+    assert after.basis == before.basis
+    assert after.gram.tobytes() == before.gram.tobytes()
+    assert vl.enumerate_tangles(4, 1) == list(before.basis)  # a new list each call
+
+
+def test_basis_cache_stays_within_its_bound(empty_basis_cache):
+    model = vl.random_model(1, np.random.default_rng(65), real=True)
+    flood = [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2), (4, 0), (4, 1), (6, 0), (8, 0)]
+    assert len(flood) > BASIS_CACHE_BOUND
+    for arity, max_vertices in flood:
+        vl.nondegeneracy_probe(model, arity, max_vertices)
+        assert vl.basis_cache_info().size <= BASIS_CACHE_BOUND
+    assert vl.basis_cache_info() == (0, len(flood), BASIS_CACHE_BOUND, BASIS_CACHE_BOUND)
+    vl.nondegeneracy_probe(model, 8, 0)  # the newest is kept, the oldest is not
+    vl.nondegeneracy_probe(model, 0, 0)
+    assert vl.basis_cache_info() == (1, len(flood) + 1, BASIS_CACHE_BOUND, BASIS_CACHE_BOUND)
+
+
+def test_basis_whose_gram_does_not_fit_is_dropped(empty_basis_cache, monkeypatch):
+    def no_memory(model, t):
+        raise MemoryError
+
+    model = vl.random_model(2, np.random.default_rng(66), real=True)
+    vl.gram_psd(model, max_vertices=0)
+    monkeypatch.setattr(vlink.characterize, "tangle_tensor", no_memory)
+    with pytest.raises(MemoryError):
+        vl.gram_psd(model, max_vertices=1)
+    assert vl.basis_cache_info().size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,23 @@ def test_leg_to_leg_edge_gives_identity():
     assert np.array_equal(values, np.eye(4))
 
 
+def test_plans_without_merges_return_fresh_writable_arrays():
+    # Leg-to-leg edges share one read-only identity per n, and a plan with
+    # no merges returns its one node: a copy of the identity, or of the
+    # vertex tensor, that the caller may write to.
+    entries = vl.random_model(3, np.random.default_rng(24)).entries
+    for t in (vl.strand_tangle(), vl.parse_tangle("x v1 a b c d\nleg 1 a\nleg 2 b\nleg 3 c\nleg 4 d")):
+        plan = plan_contraction(t)
+        assert not plan.steps
+        first = execute_plan(entries, 3, t, plan)
+        second = execute_plan(entries, 3, t, plan)
+        assert first.flags.writeable and first.flags.c_contiguous
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, entries)
+        assert first.tobytes() == reference_execute(entries, 3, t, plan).tobytes()
+        first[...] = 7.0
+        assert execute_plan(entries, 3, t, plan).tobytes() == second.tobytes()
+
+
 def test_plan_reuse_and_determinism():
     t = vl.parse_tangle("x v1 a b c d\nx v2 c d a b")
     plan_a = plan_contraction(t)
