@@ -31,9 +31,10 @@ A basis depends on (arity, max_vertices) alone, so `gram_psd` and
 (`basis_cache_info` reports it); `enumerate_tangles` itself builds a new
 list on every call and keeps nothing.  A cached basis holds about 1 KB per
 tangle (10.1 MiB at (12, 0), 10,395 tangles; 6.5 MiB at (0, 4), 6,584),
-less than the 16 |B|^2 bytes of its Gram once |B| exceeds 64.  Rows or a
-Gram that cannot be allocated empty the cache, so no basis too large to
-use stays behind.
+less than the 16 |B|^2 bytes of its Gram once |B| exceeds 64.  The Gram
+is allocated before any row is evaluated, so one that cannot be allocated
+fails once the basis is enumerated.  Rows or a Gram that cannot be
+allocated empty the cache, so no basis too large to use stays behind.
 """
 
 from __future__ import annotations
@@ -290,8 +291,11 @@ def _basis_gram(
     ``rows @ rows.T``.  The basis is never empty, so neither is the matrix."""
     basis = _basis(arity, max_vertices)
     try:
+        # The Gram first: one that cannot be allocated fails before any row
+        # is evaluated.
+        gram = np.empty((len(basis),) * 2, dtype=complex)
         rows = np.array([tangle_tensor(model, t).values.ravel() for t in basis])
-        return basis, rows, rows @ rows.T
+        return basis, rows, np.matmul(rows, rows.T, out=gram)
     except MemoryError:
         _basis.cache_clear()  # keep no basis whose Gram does not fit
         raise

@@ -170,7 +170,9 @@ def _emit(args: argparse.Namespace, text_line: str, record: dict) -> None:
     if args.format == "text":
         print(text_line)
     elif args.format == "csv":
-        print(",".join(str(record[key]) for key in record))
+        # A list (a tangle entry's leg indices) gives one field per element.
+        fields = (v if isinstance(v, list) else [v] for v in record.values())
+        print(",".join(str(x) for field in fields for x in field))
     else:
         print(json.dumps(record, sort_keys=True))
 

@@ -240,14 +240,16 @@ def load_model(path: str, project: bool = False) -> VertexModel:
 
     ``n`` and the indices ``i, j, k, l`` are integers (digit strings are
     accepted; booleans and fractions are not), the indices 1-based.
-    ``re`` and ``im`` default to 0, entries left out are zero, and of two
-    entries at the same index the later one wins.
+    ``re`` and ``im`` default to 0, and entries left out are zero.  Entries
+    are decoded one by one in file order, each stored over any earlier one
+    at its index, so of two duplicates the later one wins.
 
     The file is read on every call, but a text seen recently (with the same
     ``project``) is not decoded again: its validated model is shared, keyed
     by the text itself, so a rewritten file never reads stale.  Errors are
-    not kept, and every one names the file.  `model_cache_info` reports the
-    cache's hits and misses.
+    not kept, and every one names the file, a tensor too large to allocate
+    (a `MemoryError`) included.  `model_cache_info` reports the cache's hits
+    and misses.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -256,6 +258,8 @@ def load_model(path: str, project: bool = False) -> VertexModel:
             raise ValueError(f"{path}: malformed model file ({exc})") from exc
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+        except MemoryError as exc:
+            raise MemoryError(f"{path}: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=MODEL_CACHE_BOUND)
@@ -273,39 +277,6 @@ def _decode_model(text: str, project: bool) -> VertexModel:
     if n < 1:
         raise ValueError("state count n must be >= 1")
     entries = np.zeros((n,) * 4, dtype=complex)
-    idx, values = _gather(items, n)
-    # Flat positions, reversed so that np.unique's first occurrence is the
-    # file's last: a fancy-index store does not say which duplicate wins.
-    flat = (idx @ np.array([n**3, n**2, n, 1], dtype=np.int64))[::-1]
-    flat, last = np.unique(flat, return_index=True)
-    entries.reshape(-1)[flat] = values[::-1][last]
-    if project:
-        return symmetrize(entries)
-    return VertexModel(n, entries)
-
-
-def _gather(items: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based indices, shape (m, 4), and values of the m entries.
-
-    Entries whose indices are all ints and whose values are ints or floats
-    are converted and range-checked in one batch.  Anything else runs the
-    per-entry loop, which converts digit strings and names the first bad
-    entry.
-    """
-    try:
-        raw = [item[key] for item in items for key in _INDEX_KEYS]
-        re = [item.get("re", 0.0) for item in items]
-        im = [item.get("im", 0.0) for item in items]
-        if set(map(type, raw)) <= {int} and set(map(type, re + im)) <= {int, float}:
-            idx = np.fromiter(raw, dtype=np.int64, count=len(raw)).reshape(-1, 4) - 1
-            if not idx.size or (idx.min() >= 0 and idx.max() < n):
-                values = np.empty(len(re), dtype=complex)
-                values.real = re
-                values.imag = im
-                return idx, values
-    except (KeyError, TypeError, OverflowError):
-        pass
-    indices, values = [], []
     for pos, item in enumerate(items):
         try:
             index = tuple(_integer(item[key]) - 1 for key in _INDEX_KEYS)
@@ -314,9 +285,10 @@ def _gather(items: list, n: int) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"malformed entry #{pos} ({exc})") from exc
         if not all(0 <= x < n for x in index):
             raise ValueError(f"entry #{pos} index out of range 1..{n}")
-        indices.append(index)
-        values.append(value)
-    return np.array(indices, dtype=np.int64).reshape(-1, 4), np.array(values, dtype=complex)
+        entries[index] = value
+    if project:
+        return symmetrize(entries)
+    return VertexModel(n, entries)
 
 
 def model_to_json(model: VertexModel) -> str:
@@ -346,7 +318,13 @@ def tangle_tensor(model: VertexModel, t: Tangle, plan: ContractionPlan | None = 
         plan = plan_contraction(t, model.n)
     values = execute_plan(model.entries, model.n, t, plan)
     if t.loop_count:
-        values = values * float(model.n) ** t.loop_count
+        try:
+            scale = float(model.n) ** t.loop_count
+        except OverflowError as exc:
+            raise ValueError(
+                f"n^loops overflows a float: n = {model.n}, {t.loop_count} vertexless loops"
+            ) from exc
+        values = values * scale
     return TangleTensor(t.arity, model.n, values)
 
 

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -290,6 +293,45 @@ def test_basis_whose_gram_does_not_fit_is_dropped(empty_basis_cache, monkeypatch
     with pytest.raises(MemoryError):
         vl.gram_psd(model, max_vertices=1)
     assert vl.basis_cache_info().size == 0
+
+
+#: Child process: build a small Gram, so BLAS has its buffers, and the
+#: (4, 2) basis; cap the address space at 16 MiB above what is then mapped,
+#: and ask for the (4, 2) Gram (1,470 tangles, 33 MiB).  Prints the basis
+#: size, the plan-cache misses the refused call made and the basis-cache
+#: size after it.
+_CAPPED_GRAM = """
+import os, resource
+import numpy as np
+import vlink as vl
+import vlink.characterize
+model = vl.random_model(2, np.random.default_rng(67), real=True)
+vl.gram_psd(model, max_vertices=1)  # BLAS takes its buffers before the cap
+basis = vlink.characterize._basis(4, 2)
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+cap = mapped + (16 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+misses = vl.plan_cache_info().misses
+try:
+    vl.gram_psd(model, max_vertices=2)
+except MemoryError:
+    print(len(basis), vl.plan_cache_info().misses - misses, vl.basis_cache_info().size)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
+def test_gram_that_cannot_be_allocated_fails_before_any_row():
+    src = os.path.dirname(os.path.dirname(vl.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_GRAM],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "1470 0 0\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import pytest
 
 import vlink as vl
 import vlink.cli
-from vlink.cli import build_parser, main
+from vlink.cli import _fmt, build_parser, main
 from vlink.contraction import plan_contraction
 
 
@@ -81,6 +83,25 @@ def test_eval_csv(workdir, capsys):
     path, re, im = out.strip().split(",")
     assert path.endswith("loop.vld")
     assert float(re) == 2.0 and float(im) == 0.0
+
+
+def test_eval_csv_tangle_has_one_field_per_leg(workdir, capsys):
+    four = workdir / "four.vld"
+    vl.save_tangle(vl.random_tangle(np.random.default_rng(5), 4, 2), str(four))
+    for path, k in ((workdir / "open.vld", 2), (four, 4)):
+        code, text, _ = run(capsys, "eval", "--model", workdir / "real.json", path)
+        assert code == 0
+        code, out, _ = run(
+            capsys, "eval", "--format", "csv", "--model", workdir / "real.json", path
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 2**k
+        for row, line in zip(rows, text.splitlines()):
+            assert len(row) == k + 3
+            assert row[0] == str(path)
+            # Each row is its text line: leg indices, then re and im.
+            assert " ".join([*row[1:-2], _fmt(float(row[-2])), _fmt(float(row[-1]))]) == line
 
 
 def test_eval_qtl(workdir, capsys):
@@ -542,6 +563,33 @@ def test_eval_out_of_memory_is_an_error(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("vlink: error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
+def test_model_tensor_out_of_memory_names_the_file(workdir):
+    # 300**4 complex entries (121 GiB) are a shape numpy accepts, but no
+    # allocation the child may make.
+    path = workdir / "big.json"
+    path.write_text('{"n": 300}')
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, "eval", "--model", str(path),
+         str(workdir / "loop.vld")],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"vlink: error: {path}: Unable to allocate ")
+
+
+def test_loop_factor_overflow_is_input_error(workdir, capsys):
+    loops = workdir / "loops.vld"
+    loops.write_text("loops 1100\n")
+    model = workdir / "real.json"
+    message = "vlink: error: n^loops overflows a float: n = 2, 1100 vertexless loops\n"
+    for argv in (["eval", "--model", model, loops], ["moves", "--model", model, "test", loops]):
+        assert run(capsys, *argv) == (1, "", message)
 
 
 def test_moves_diagram_without_move_sites_is_input_error(workdir, capsys):

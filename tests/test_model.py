@@ -183,6 +183,16 @@ def test_tangle_tensor_includes_loop_factor():
     )
 
 
+def test_loop_factor_that_overflows_is_an_error():
+    model = vl.random_model(2, np.random.default_rng(3))
+    message = r"^n\^loops overflows a float: n = 2, 1100 vertexless loops$"
+    with pytest.raises(ValueError, match=message):
+        vl.tangle_tensor(model, vl.loop_diagram(1100))
+    # 2**1023 is still a float, and one state never overflows.
+    assert vl.partition_function(model, vl.loop_diagram(1023)) == 2.0**1023
+    assert vl.partition_function(vl.transmission_model(1), vl.loop_diagram(1100)) == 1.0
+
+
 def test_tangle_tensor_matches_naive(small_corpus):
     model = vl.random_model(2, np.random.default_rng(2))
     for g in small_corpus:
