@@ -11,6 +11,7 @@ digits.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -171,8 +172,9 @@ def _emit(args: argparse.Namespace, text_line: str, record: dict) -> None:
         print(text_line)
     elif args.format == "csv":
         # A list (a tangle entry's leg indices) gives one field per element.
+        # Fields holding a comma, a quote or a line break are quoted.
         fields = (v if isinstance(v, list) else [v] for v in record.values())
-        print(",".join(str(x) for field in fields for x in field))
+        csv.writer(sys.stdout, lineterminator="\n").writerow(x for field in fields for x in field)
     else:
         print(json.dumps(record, sort_keys=True))
 

@@ -55,13 +55,19 @@ bit-identical to ``tensordot``'s.  It keeps arrays of at least
 results) in buffers reused from a bounded free list, so that they are not
 mapped and page-faulted afresh on every call; the copies and dots are the
 same, and the buffer under a returned array never goes back to the list.
-Greedy plans are cached per tangle, and searched plans apart per tangle
-and n, least recently used first out, at most `PLAN_CACHE_BOUND` of each.
+A tangle keeps its plans: `plan_contraction` stores the greedy plan and
+the plan chosen at each n in the tangle's instance dict, next to its
+cached hash and outside its equality, hash and repr.  A plan so lives
+exactly as long as its tangle, and nothing bounds or evicts it.  The
+tangles that are evaluated again (a Gram basis, a move chain's current
+diagram) are the ones their callers hold; an equal tangle built anew is
+planned anew, to the same plan.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 import string
 import threading
@@ -75,19 +81,10 @@ from .diagram import LEG, CacheInfo, Tangle
 __all__ = [
     "ContractionStep",
     "ContractionPlan",
-    "PLAN_CACHE_BOUND",
     "plan_contraction",
     "plan_cache_info",
     "execute_plan",
 ]
-
-#: Most greedy plans, and most searched plans, that `plan_contraction`
-#: keeps, least recently used first out.
-#: `gram_psd` evaluates one basis of isomorphism classes under every model,
-#: and a move check plans each diagram before and after a move.  Over the
-#: first 2,000 ops of the benchmark's characterize workload (seed 1) the hit
-#: rate is 0.08 at a bound of 64, 0.80 at 128, 0.82 at 256 and 0.83 at 1024.
-PLAN_CACHE_BOUND = 256
 
 #: Multiply-adds at n from which a greedy plan is searched for a cheaper
 #: one, and the search's pass budget: one pass per that many of the best
@@ -162,50 +159,71 @@ class ContractionPlan:
         return 16 * max((n ** (fa + fb) for _, _, _, _, fa, _, fb in self.compiled.steps), default=0)
 
 
+#: `plan_contraction` calls since import that made a greedy plan (misses)
+#: and that found one on the tangle (hits).  They are counted without a
+#: lock, so threads planning at once may lose a count.
+_hits = _misses = 0
+
+
 def plan_contraction(t: Tangle, n: int | None = None) -> ContractionPlan:
-    """Pairwise merge plan for evaluating ``t``: the greedy plan, from the
-    plan cache when an equal tangle was planned recently.  With ``n``, a
-    greedy plan costly at ``n`` is searched for a cheaper one (see the
-    module docstring)."""
-    plan = _plan(t)
-    # No merge spans more than twice the peak arity, which bounds the
-    # multiply-adds of small plans without summing them.
-    if n is None or len(plan.steps) * n ** (2 * plan.peak_arity) < _SEARCH_MADDS or plan.madds(n) < _SEARCH_MADDS:
+    """Pairwise merge plan for evaluating ``t``: the greedy plan, or with
+    ``n`` the plan chosen at ``n``, where a greedy plan costly at ``n`` is
+    searched for a cheaper one (see the module docstring).  Each plan is
+    made once per tangle and n, and kept on the tangle."""
+    global _hits, _misses
+    try:
+        plan = t._plans[n]
+    except AttributeError:  # t was never planned
+        object.__setattr__(t, "_plans", {})
+    except KeyError:
+        pass
+    else:
+        _hits += 1
         return plan
-    return _searched(t, n)
+    plans = t._plans
+    greedy = plans.get(None)
+    if greedy is None:
+        _misses += 1
+        nodes = _Nodes.of(t)
+        merges, cost = _greedy(nodes.masks, nodes.legs_at + t.arity, n)
+    else:
+        _hits += 1
+        nodes, cost = None, greedy.madds(n)
+    plan = greedy
+    if n and cost >= _SEARCH_MADDS:
+        if nodes is None:
+            nodes = _Nodes.of(t)
+        found = _search(nodes, nodes.legs_at + t.arity, n, cost)
+        if found is not None:
+            plan = _compile(t, nodes, found)
+    if plan is None:
+        plan = plans[None] = _compile(t, nodes, merges)
+    plans[n] = plan
+    return plan
 
 
 def plan_cache_info() -> CacheInfo:
-    """Hits and misses of `plan_contraction`'s cache of greedy plans since
-    import, its current size and its bound."""
-    return CacheInfo.of(_plan)
+    """Hits and misses of `plan_contraction` since import: a miss made the
+    tangle's greedy plan, a hit found it already made.  Plans are kept on
+    their tangles, so size and bound are None."""
+    return CacheInfo(_hits, _misses, None, None)
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_BOUND)
-def _plan(t: Tangle) -> ContractionPlan:
-    nodes = _Nodes.of(t)
-    merges, _ = _greedy(nodes.masks, nodes.legs_at + t.arity)
-    return _compile(t, nodes, merges)
-
-
-@functools.lru_cache(maxsize=PLAN_CACHE_BOUND)
-def _searched(t: Tangle, n: int) -> ContractionPlan:
-    """The cheapest plan at ``n`` among ``t``'s greedy plan and greedy
-    passes over shuffled node orders."""
-    plan = _plan(t)
-    best = plan.madds(n)
-    nodes = _Nodes.of(t)
-    found = None
+def _search(nodes: _Nodes, bits: int, n: int, best: int) -> list[tuple[int, int]] | None:
+    """The merges of the cheapest plan at ``n`` that greedy passes over
+    shuffled orders of ``nodes`` find, if it costs less than ``best``, the
+    greedy plan's multiply-adds."""
     rng = random.Random(_SEARCH_SEED)
     order = list(range(len(nodes.keys)))
+    found = None
     tried = 0
     while tried < _SEARCH_PASSES and tried * _SEARCH_MADDS < best:
         tried += 1
         rng.shuffle(order)
-        merges, cost = _greedy([nodes.masks[x] for x in order], nodes.legs_at + t.arity, n, best)
+        merges, cost = _greedy([nodes.masks[x] for x in order], bits, n, best)
         if merges is not None:
             best, found = cost, _relabel(merges, order)
-    return plan if found is None else _compile(t, nodes, found)
+    return found
 
 
 class _Nodes(NamedTuple):
@@ -270,12 +288,12 @@ def _self_loops(first: tuple[int, ...]) -> tuple[str, tuple[int, ...], tuple[int
 
 
 def _greedy(
-    masks: list[int], bits: int, n: int = 0, bound: int = 0
+    masks: list[int], bits: int, n: int | None = None, bound: float = math.inf
 ) -> tuple[list[tuple[int, int]] | None, int]:
     """The greedy merge order over nodes with axis bit masks ``masks``, in
     id order, of ``bits`` axis bits in all: (kept id, merged id) pairs.
-    With ``n``, also its multiply-adds at n, or (None, cost) once they
-    reach ``bound``."""
+    With ``n``, also its multiply-adds at n (`ContractionPlan.madds`), or
+    (None, cost) once they reach ``bound``."""
     # row[x] encodes x's best partner y, the least (arity, y) over live
     # y > x, as the integer (arity * count + x) * count + y, so the least
     # row is the least (arity, x, y) over all pairs.  No arity exceeds

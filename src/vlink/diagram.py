@@ -103,7 +103,7 @@ class Tangle:
             and expected == set(itertools.chain.from_iterable(edges))
         ):
             self._reject(edges, expected)
-        # Tangles key the canonical-key and plan caches, so hash once.
+        # Hash once, for tangles used as dict keys or set members.
         object.__setattr__(
             self, "_hash", hash((self.num_vertices, self.arity, self.edges, self.loop_count))
         )
@@ -357,7 +357,8 @@ def _remap(
     ``drop``; an endpoint left out makes `Tangle` reject the result.
     Relabelling legs, deleting a vertex and cutting a move pattern out are
     all this one map.  Endpoints that keep their name are reused, not
-    copied: derivative terms and rewrites live on in the key cache.
+    copied: the edges of derivative terms and rewrites live on in the key
+    cache.
     """
     kept = [v for v in range(t.num_vertices) if v not in gone]
     where = {(old, s): (new, s) for new, old in enumerate(kept) if new != old for s in range(4)}
@@ -413,19 +414,22 @@ def knot_components(g: Tangle) -> int:
 # its 2c starts, at O(c) per traversal and O(c^2) in all.  Keys are equal iff
 # the tangles are isomorphic (with legs fixed pointwise).
 
-#: Most tangles whose keys `canonical_key` keeps; the least recently used
-#: goes first, so a long run keying many distinct tangles holds bounded memory.
+#: Most tangles whose keys `canonical_key` keeps, by their fields rather
+#: than the tangles themselves (which would keep their plans alive); the
+#: least recently used goes first, so a long run keying many distinct
+#: tangles holds bounded memory.
 KEY_CACHE_BOUND = 1 << 16
 
 
 class CacheInfo(NamedTuple):
-    """Counts of a bounded least-recently-used cache: hits and misses since
-    import, its current size and its bound."""
+    """Counts of a cache: hits and misses since import, its current size
+    and its bound (None for `plan_cache_info`, whose plans live on their
+    tangles)."""
 
     hits: int
     misses: int
-    size: int
-    bound: int
+    size: int | None
+    bound: int | None
 
     @classmethod
     def of(cls, cached) -> CacheInfo:
@@ -442,12 +446,15 @@ def key_cache_info() -> CacheInfo:
 
 def canonical_key(t: Tangle) -> bytes:
     """Canonical byte-string key of the isomorphism class of ``t``."""
-    return _canonical_key(t)
+    return _canonical_key(t.num_vertices, t.arity, t.edges, t.loop_count)
 
 
 @functools.lru_cache(maxsize=KEY_CACHE_BOUND)
-def _canonical_key(t: Tangle) -> bytes:
-    partner = partner_map(t)
+def _canonical_key(
+    num_vertices: int, arity: int, edges: frozenset[tuple[Endpoint, Endpoint]], loop_count: int
+) -> bytes:
+    partner = dict(edges)
+    partner.update((b, a) for a, b in edges)
 
     def traverse(u: int, r: int) -> tuple[tuple[Endpoint, ...], dict[int, int]]:
         label, rot, order, code = {u: 0}, {u: r}, [u], []
@@ -465,7 +472,7 @@ def _canonical_key(t: Tangle) -> bytes:
 
     reached: set[int] = set()
     leg_codes = []
-    for i in range(1, t.arity + 1):
+    for i in range(1, arity + 1):
         w, sw = partner[(LEG, i)]
         if w == LEG and sw > i:
             leg_codes.append(((LEG, sw),))
@@ -474,11 +481,11 @@ def _canonical_key(t: Tangle) -> bytes:
             reached.update(label)
             leg_codes.append(code)
     closed_codes = []
-    for u in range(t.num_vertices):
+    for u in range(num_vertices):
         if u not in reached:
             component = traverse(u, 0)[1]
             reached.update(component)
             closed_codes.append(min(traverse(w, r)[0] for w in component for r in (0, 2)))
     return repr(
-        (t.num_vertices, t.arity, t.loop_count, leg_codes, sorted(closed_codes))
+        (num_vertices, arity, loop_count, leg_codes, sorted(closed_codes))
     ).encode("ascii")

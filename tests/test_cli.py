@@ -104,6 +104,24 @@ def test_eval_csv_tangle_has_one_field_per_leg(workdir, capsys):
             assert " ".join([*row[1:-2], _fmt(float(row[-2])), _fmt(float(row[-1]))]) == line
 
 
+def test_eval_csv_quotes_a_path_with_a_comma_or_quote(workdir, capsys):
+    plain = workdir / "four.vld"
+    odd = workdir / 'a,b".vld'
+    tangle = vl.random_tangle(np.random.default_rng(5), 4, 2)
+    for path in (plain, odd):
+        vl.save_tangle(tangle, str(path))
+        code, out, _ = run(
+            capsys, "eval", "--format", "csv", "--model", workdir / "real.json", path
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 16 and all(len(row) == 7 and row[0] == str(path) for row in rows)
+        if path == plain:  # nothing to quote: the fields joined by commas
+            assert out == "".join(",".join(row) + "\n" for row in rows)
+        else:
+            assert out.startswith('"' + str(path).replace('"', '""') + '",')
+
+
 def test_eval_qtl(workdir, capsys):
     manifest = workdir / "combo.qtl"
     manifest.write_text("term 1 0 loop.vld\nterm 0.5 0 two_knots.vld\n")

@@ -1,14 +1,17 @@
 import concurrent.futures
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import vlink as vl
+import vlink.cli
 import vlink.contraction
-from vlink.contraction import PLAN_CACHE_BOUND, execute_plan, plan_contraction
+from vlink.contraction import ContractionPlan, execute_plan, plan_contraction
 
 from oracles import greedy_plan_steps, naive_tangle_tensor, reference_execute
 
@@ -493,43 +496,116 @@ def test_execute_rejects_plan_of_another_tangle():
             execute_plan(entries, 2, other, plan)
 
 
-@pytest.fixture
-def empty_plan_cache():
-    """An empty plan cache, emptied again afterwards."""
-    vlink.contraction._plan.cache_clear()
-    yield
-    vlink.contraction._plan.cache_clear()
-
-
-def test_plan_cache_hits_equal_tangles_and_stays_bounded(empty_plan_cache):
-    t = vl.parse_tangle("x v1 a b c d\nx v2 c d a b")
+def _copy(t: vl.Tangle) -> vl.Tangle:
+    """An equal tangle built anew, without ``t``'s plans."""
     copy = vl.build_tangle(t.num_vertices, sorted(t.edges), t.loop_count)
     assert copy == t and copy is not t
-    plan = plan_contraction(t)
-    assert vl.plan_cache_info() == (0, 1, 1, PLAN_CACHE_BOUND)
-    assert plan_contraction(copy) is plan
-    assert vl.plan_cache_info() == (1, 1, 1, PLAN_CACHE_BOUND)
-    # Vertexless diagrams with distinct loop counts: distinct and cheap to plan.
-    flood = range(PLAN_CACHE_BOUND + 5)
-    oldest = plan_contraction(vl.loop_diagram(0))
-    for count in flood[1:]:
-        plan_contraction(vl.loop_diagram(count))
-        if count % 100 == 0:
-            assert plan_contraction(t) is plan  # a hit keeps it recently used
-        assert vl.plan_cache_info().size <= PLAN_CACHE_BOUND
-    hits = 1 + len(flood[100::100])
-    assert vl.plan_cache_info() == (hits, 1 + len(flood), PLAN_CACHE_BOUND, PLAN_CACHE_BOUND)
-    assert plan_contraction(copy) is plan
-    # The oldest loop diagram was evicted; it is planned again, equally.
-    again = plan_contraction(vl.loop_diagram(0))
-    assert again == oldest and again is not oldest
-    assert vl.plan_cache_info() == (hits + 1, 2 + len(flood), PLAN_CACHE_BOUND, PLAN_CACHE_BOUND)
+    return copy
 
 
-def test_plans_below_the_search_threshold_share_one_cache_entry(empty_plan_cache):
+def test_equal_tangles_built_anew_get_equal_plans_and_bits():
+    small = vl.parse_tangle("x v1 a b c d\nx v2 c d e f\nleg 1 a\nleg 2 b\nleg 3 e\nleg 4 f")
+    cases = [(small, 2, vl.random_model(2, np.random.default_rng(9)).entries)]
+    cases += [(t, n, entries) for t, n, entries, _ in _costly_cases()[:4]]
+    for t, n, entries in cases:
+        for at in (None, n):
+            plan, again = plan_contraction(t, at), plan_contraction(_copy(t), at)
+            assert again == plan and again is not plan
+            assert repr(again.compiled) == repr(plan.compiled)
+            assert execute_plan(entries, n, t, again).tobytes() == execute_plan(entries, n, t, plan).tobytes()
+
+
+def test_a_plan_lives_as_long_as_its_tangle():
+    (costly, n, _, _), *_ = _costly_cases()
+    # Each tangle is built inside the loop, so that only ``t`` holds it.
+    for make, at in ((lambda: _chain_diagram(5), None), (lambda: _chain_diagram(5), 3), (lambda: _copy(costly), n)):
+        t = make()
+        plan = weakref.ref(plan_contraction(t, at))
+        assert plan_contraction(t, at) is plan()
+        del t
+        gc.collect()
+        assert plan() is None
+
+
+def test_a_plan_at_n_is_chosen_once(monkeypatch):
+    # The search check runs once per tangle and n; later calls at n return
+    # the plan kept on the tangle.  The diagram is one whose multiply-adds
+    # at 3 must be summed to rule a search out: no bound from its step
+    # count and peak arity does.
+    rng = np.random.default_rng(3)
+    while True:
+        t = vl.random_tangle(rng, 0, 11)
+        greedy = plan_contraction(t)
+        if len(greedy.steps) * 3 ** (2 * greedy.peak_arity) >= vlink.contraction._SEARCH_MADDS:
+            break
+    madds = ContractionPlan.madds
+    calls = []
+
+    def once(plan, n):
+        calls.append(n)
+        if len(calls) > 1:
+            raise AssertionError("madds called again")
+        return madds(plan, n)
+
+    monkeypatch.setattr(ContractionPlan, "madds", once)
+    assert plan_contraction(t, 3) is greedy
+    assert plan_contraction(t, 3) is greedy
+    assert calls == [3]
+
+
+def test_a_searched_diagram_is_planned_once(monkeypatch):
+    # A diagram planned at n builds its nodes once, and compiles only the
+    # plan it keeps, searched or greedy.
+    counts = {"nodes": 0, "compile": 0}
+    nodes_of, compile_ = vlink.contraction._Nodes.of, vlink.contraction._compile
+
+    def counted_nodes(t):
+        counts["nodes"] += 1
+        return nodes_of(t)
+
+    def counted_compile(*args):
+        counts["compile"] += 1
+        return compile_(*args)
+
+    monkeypatch.setattr(vlink.contraction._Nodes, "of", counted_nodes)
+    monkeypatch.setattr(vlink.contraction, "_compile", counted_compile)
+    searched = 0
+    for t, n, _, greedy in _costly_cases()[:8]:
+        counts.update(nodes=0, compile=0)
+        plan = plan_contraction(_copy(t), n)
+        assert counts == {"nodes": 1, "compile": 1}, t
+        searched += plan != greedy
+    assert searched > 0
+
+
+def test_plans_below_the_search_threshold_share_one_cache_entry():
     # Below the search threshold the plan at every n is the greedy plan,
     # so a tangle planned without n and at n = 2, 3, 4 is planned once.
     t = vl.parse_tangle("x v1 a b c d\nx v2 c d e f\nleg 1 a\nleg 2 b\nleg 3 e\nleg 4 f")
+    hits, misses, _, _ = vl.plan_cache_info()
     plan = plan_contraction(t)
     assert all(plan_contraction(t, n) is plan for n in (2, 3, 4))
-    assert vl.plan_cache_info() == (3, 1, 1, PLAN_CACHE_BOUND)
+    assert vl.plan_cache_info() == (hits + 3, misses + 1, None, None)
+
+
+def test_eval_runs_leave_no_plans_or_tangles(tmp_path, capsys):
+    # Plans live on their tangles, so nothing that `vlink eval` parses or
+    # plans outlives its run.
+    rng = np.random.default_rng(91)
+    model = tmp_path / "model.json"
+    vl.save_model(vl.random_model(3, rng), str(model))
+    paths = []
+    for index in range(300):
+        path = tmp_path / f"{index}.vld"
+        vl.save_tangle(vl.random_tangle(rng, 0, int(rng.integers(12, 17)), int(rng.integers(0, 2))), str(path))
+        paths.append(str(path))
+
+    def alive() -> set[int]:
+        gc.collect()
+        return {id(o) for o in gc.get_objects() if isinstance(o, (ContractionPlan, vl.Tangle))}
+
+    before = alive()
+    for path in paths:
+        assert vlink.cli.main(["eval", "--model", str(model), path]) == 0
+    capsys.readouterr()
+    assert alive() <= before

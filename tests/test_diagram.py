@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -403,3 +405,21 @@ def test_canonical_key_cache_is_bounded(empty_key_cache):
     assert [vl.canonical_key(t) for t in early[1:]] == keys[1:]
     assert vl.key_cache_info().misses == info.misses + len(set(early[1:]) - {favourite})
     assert vl.key_cache_info().size == bound
+
+
+def test_canonical_key_does_not_keep_its_tangle_alive():
+    # Keys are cached by a tangle's fields, so a keyed tangle and the plan
+    # it carries die with their last reference, while an equal tangle built
+    # anew still finds its key in the cache.
+    def fresh() -> vl.Tangle:
+        return vl.random_tangle(np.random.default_rng(12), 4, 5)
+
+    t = fresh()
+    key = vl.canonical_key(t)
+    tangle, plan = weakref.ref(t), weakref.ref(vl.plan_contraction(t))
+    del t
+    gc.collect()
+    assert tangle() is None and plan() is None
+    info = vl.key_cache_info()
+    assert vl.canonical_key(fresh()) == key
+    assert vl.key_cache_info()[:2] == (info.hits + 1, info.misses)
