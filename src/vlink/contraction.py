@@ -50,11 +50,12 @@ counts); and the transpose that puts the last node's axes in leg order.
 Every merge keeps the lesser node id, so the last node is node 0.
 `execute_plan` only replays those transpose/reshape/``np.dot`` steps,
 which are ``tensordot``'s own operations in its order, so results are
-bit-identical to ``tensordot``'s.  It keeps arrays of at least
-``_POOL_MIN`` entries (the operand copies reshape makes, and merge
-results) in buffers reused from a bounded free list, so that they are not
-mapped and page-faulted afresh on every call; the copies and dots are the
-same, and the buffer under a returned array never goes back to the list.
+bit-identical to ``tensordot``'s.  A merge result of at least
+``_POOL_MIN`` entries is written by ``np.dot`` into a buffer reused from a
+bounded free list, so that it is not mapped and page-faulted afresh on
+every call; the buffer goes back to the list once the merge that reads
+it has run, and the one under a returned array never does.  Operand
+copies are numpy's own, made by reshape where it must copy.
 A tangle keeps its plans: `plan_contraction` stores the greedy plan and
 the plan chosen at each n in the tangle's instance dict, next to its
 cached hash and outside its equality, hash and repr.  A plan so lives
@@ -97,9 +98,10 @@ _SEARCH_PASSES = 32
 #: every process.
 _SEARCH_SEED = 0
 
-#: Complex entries from which execute_plan reuses buffers (128 KiB, glibc's
-#: default mmap threshold), how many free buffers of one size it keeps and
-#: how many bytes of them in all.
+#: Complex entries from which execute_plan writes a merge result into a
+#: reused buffer (128 KiB, glibc's default mmap threshold; operand copies
+#: are numpy's own), how many free buffers of one size it keeps and how
+#: many bytes of them in all.
 _POOL_MIN = 1 << 13
 _POOL_PER_SIZE = 2
 _POOL_BYTES = 32 << 20
@@ -436,26 +438,6 @@ class _Pool:
 _POOL = _Pool()
 
 
-def _matrix(array: np.ndarray, perm: tuple[int, ...], split: int, n: int, spent: list) -> np.ndarray:
-    """``array``, of shape (n,) * k, transposed by ``perm`` and reshaped to
-    a matrix whose rows run over its first ``split`` axes.  Where numpy's
-    reshape would copy a large one, the copy goes into a pooled buffer,
-    which is appended to ``spent``."""
-    view = array.transpose(perm)
-    k = len(perm)
-    if array.size >= _POOL_MIN and array.flags.c_contiguous:
-        # With n >= 2 the reshape of a C-contiguous array is a view only if
-        # ``perm`` keeps the axes in order, or moves its last ``split`` axes
-        # to the front (the matrix is then in Fortran order).
-        start = perm[0]
-        if start not in (0, k - split) or perm != tuple(range(start, k)) + tuple(range(start)):
-            buf = _POOL.take(array.size)
-            np.copyto(buf.reshape(view.shape), view)
-            spent.append(buf)
-            view = buf
-    return view.reshape(n**split, n ** (k - split))
-
-
 @functools.lru_cache(maxsize=_IDENTITY_CACHE_BOUND)
 def _identity(n: int) -> np.ndarray:
     """The n x n complex identity, read-only: one per n, shared by every
@@ -481,29 +463,22 @@ def execute_plan(entries: np.ndarray, n: int, t: Tangle, plan: ContractionPlan) 
         _identity(n) if spec is None else (np.einsum(spec, entries) if spec else entries)
         for spec in c.init
     ]
-    # A merge whose operands and result all have fewer than _POOL_MIN
-    # entries runs as np.tensordot would; sending those through _matrix
-    # cost 3-4% per call on the small plans of the characterize and moves
-    # benchmarks.  In a larger merge, large operand copies and results live
-    # in buffers taken from the pool, each given back once used, except the
-    # one under the last node, which may be returned.
-    held: dict[int, np.ndarray] = {}  # the buffer under arrays[p]
+    # A merge result of at least _POOL_MIN entries is written into a buffer
+    # taken from the pool; once the merge that reads it has run, the buffer
+    # goes back, except the one under the last node, which may be returned.
+    held: dict[int, np.ndarray] = {}  # the pooled buffer under arrays[p]
     for a, b, perm_a, perm_b, free_a, shared, free_b in c.steps:
         rows, inner, cols = n**free_a, n**shared, n**free_b
-        if rows * inner < _POOL_MIN and inner * cols < _POOL_MIN and rows * cols < _POOL_MIN:
-            left = arrays[a].transpose(perm_a).reshape(rows, inner)
-            right = arrays[b].transpose(perm_b).reshape(inner, cols)
+        left = arrays[a].transpose(perm_a).reshape(rows, inner)
+        right = arrays[b].transpose(perm_b).reshape(inner, cols)
+        spent = (held.pop(a, None), held.pop(b, None)) if held else ()
+        if rows * cols < _POOL_MIN:
             merged = np.dot(left, right)
         else:
-            spent = [buf for buf in (held.pop(a, None), held.pop(b, None)) if buf is not None]
-            left = _matrix(arrays[a], perm_a, free_a, n, spent)
-            right = _matrix(arrays[b], perm_b, shared, n, spent)
-            if rows * cols < _POOL_MIN:
-                merged = np.dot(left, right)
-            else:
-                held[a] = _POOL.take(rows * cols)
-                merged = np.dot(left, right, out=held[a].reshape(rows, cols))
-            for buf in spent:
+            held[a] = _POOL.take(rows * cols)
+            merged = np.dot(left, right, out=held[a].reshape(rows, cols))
+        for buf in spent:
+            if buf is not None:
                 _POOL.give(buf)
         arrays[a] = merged.reshape((n,) * (free_a + free_b))
         arrays[b] = None

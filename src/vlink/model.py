@@ -23,8 +23,10 @@ with the Cayley transform generator for complex orthogonal matrices.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +64,8 @@ ORTHOGONALITY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class VertexModel:
-    """State count and the swap-invariant vertex tensor."""
+    """State count and the swap-invariant vertex tensor, finite in every
+    entry."""
 
     n: int
     entries: np.ndarray
@@ -73,6 +76,8 @@ class VertexModel:
         entries = np.asarray(self.entries, dtype=complex)
         if entries.shape != (self.n,) * 4:
             raise ValueError(f"entries must have shape {(self.n,) * 4}, got {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise ValueError("entries must be finite (no NaN or infinity)")
         swapped = entries.transpose(2, 3, 0, 1)
         if not np.array_equal(entries, swapped):
             raise ValueError(
@@ -196,12 +201,19 @@ def random_orthogonal(
 
     The complex orthogonal group is unbounded, and an ill-conditioned
     transform amplifies round-off in every contraction it touches, so
-    complex draws are rejected until |U|_F <= max_norm (default 3n).
+    complex draws are rejected until |U|_F <= max_norm (default 3n).  No
+    complex draw has |U|_F <= sqrt(n), so a smaller max_norm is a
+    ValueError.
     """
     if real:
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
         return q * np.where(np.diag(r) >= 0, 1.0, -1.0)
     bound = 3.0 * n if max_norm is None else max_norm
+    if not bound > math.sqrt(n):
+        raise ValueError(
+            f"max_norm must exceed sqrt(n) = {math.sqrt(n):.6g}: a complex orthogonal"
+            f" {n} x {n} matrix has Frobenius norm at least that, got {bound}"
+        )
     while True:
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         u = cayley_orthogonal(0.3 * (raw - raw.T))
@@ -240,9 +252,10 @@ def load_model(path: str, project: bool = False) -> VertexModel:
 
     ``n`` and the indices ``i, j, k, l`` are integers (digit strings are
     accepted; booleans and fractions are not), the indices 1-based.
-    ``re`` and ``im`` default to 0, and entries left out are zero.  Entries
-    are decoded one by one in file order, each stored over any earlier one
-    at its index, so of two duplicates the later one wins.
+    ``re`` and ``im`` default to 0 and must be finite, and entries left out
+    are zero.  Entries are decoded one by one in file order, each stored
+    over any earlier one at its index, so of two duplicates the later one
+    wins.
 
     The file is read on every call, but a text seen recently (with the same
     ``project``) is not decoded again: its validated model is shared, keyed
@@ -285,6 +298,8 @@ def _decode_model(text: str, project: bool) -> VertexModel:
             raise ValueError(f"malformed entry #{pos} ({exc})") from exc
         if not all(0 <= x < n for x in index):
             raise ValueError(f"entry #{pos} index out of range 1..{n}")
+        if not cmath.isfinite(value):
+            raise ValueError(f"entry #{pos} is not finite")
         entries[index] = value
     if project:
         return symmetrize(entries)

@@ -464,24 +464,29 @@ def test_pool_stays_bounded_after_a_flood_of_wide_plans(monkeypatch):
     assert len(sizes) >= 2 and most > bound // 2, (sizes, most)
 
 
-def test_pooled_copies_go_where_reshape_copies():
-    # An operand goes into a pooled buffer exactly when numpy's reshape of
-    # the transposed array would copy it, so every dot sees the operands it
-    # would see without the pool.
-    rng = np.random.default_rng(83)
-    for n, k in ((2, 13), (3, 9), (4, 7)):
-        array = rng.standard_normal((n,) * k) + 0j
-        ident = tuple(range(k))
-        perms = [ident[s:] + ident[:s] for s in range(k)]
-        perms += [tuple(int(x) for x in rng.permutation(k)) for _ in range(30)]
-        for perm in perms:
-            for split in range(k + 1):
-                spent = []
-                got = vlink.contraction._matrix(array, perm, split, n, spent)
-                want = array.transpose(perm).reshape(n**split, n ** (k - split))
-                assert got.tobytes() == want.tobytes()
-                assert bool(spent) == (not np.shares_memory(want, array)), (n, perm, split)
-                assert all(not np.shares_memory(buf, array) for buf in spent)
+def test_only_large_merge_results_take_pooled_buffers(monkeypatch):
+    # The pool serves merge results of at least its minimum size, one
+    # buffer each, and nothing else: operand copies are numpy's own.
+    taken = []
+
+    class CountingPool(vlink.contraction._Pool):
+        def take(self, size: int) -> np.ndarray:
+            taken.append(size)
+            return super().take(size)
+
+    monkeypatch.setattr(vlink.contraction, "_POOL", CountingPool())
+    rng = np.random.default_rng(81)
+    n = 5
+    entries = vl.random_model(n, rng).entries
+    large = []
+    for _ in range(6):
+        t = _wide_tangle(rng, 6, 6, n)
+        plan = plan_contraction(t)
+        got = execute_plan(entries, n, t, plan)
+        assert got.tobytes() == reference_execute(entries, n, t, plan).tobytes(), t
+        sizes = [n ** (fa + fb) for _, _, _, _, fa, _, fb in plan.compiled.steps]
+        large += [size for size in sizes if size >= vlink.contraction._POOL_MIN]
+    assert large and taken == large, (taken, large)
 
 
 def test_execute_rejects_plan_of_another_tangle():

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ def test_vertex_model_entries_frozen():
     model = vl.transmission_model(2)
     with pytest.raises(ValueError):
         model.entries[0, 0, 0, 0] = 7.0
+
+
+def test_vertex_model_rejects_non_finite_entries():
+    for value in (np.nan, np.inf, complex(0, -np.inf)):
+        raw = np.zeros((2, 2, 2, 2), dtype=complex)
+        raw[1, 0, 1, 0] = value  # swap-invariant: only finiteness fails
+        with pytest.raises(ValueError, match="finite"):
+            vl.VertexModel(2, raw)
 
 
 def test_symmetrize_is_idempotent():
@@ -123,6 +132,22 @@ def test_random_orthogonal_complex_cayley():
         u = vl.random_orthogonal(3, np.random.default_rng(seed))
         assert np.linalg.norm(u.imag) > 1e-3  # genuinely complex
         assert np.linalg.norm(u.T @ u - np.eye(3)) < 1e-10
+
+
+def test_random_orthogonal_rejects_a_norm_no_complex_draw_meets(monkeypatch):
+    # Every complex orthogonal n x n matrix has |U|_F >= sqrt(n), so such a
+    # bound is refused before any draw instead of rejecting draws forever.
+    def cayley(a):
+        raise AssertionError("drew a matrix for an unreachable max_norm")
+
+    rng = np.random.default_rng(0)
+    with monkeypatch.context() as patch:
+        patch.setattr(vl.model, "cayley_orthogonal", cayley)
+        for n, max_norm in ((2, 1.0), (2, 2**0.5), (3, 0.0), (1, 1.0)):
+            with pytest.raises(ValueError, match="max_norm must exceed sqrt"):
+                vl.random_orthogonal(n, rng, max_norm=max_norm)
+    u = vl.random_orthogonal(2, rng, max_norm=1.6)
+    assert np.linalg.norm(u) <= 1.6 and np.linalg.norm(u.T @ u - np.eye(2)) < 1e-10
 
 
 def test_cayley_orthogonal_validates():
@@ -433,6 +458,28 @@ def test_load_model_rejects_non_integral_and_unconvertible_values(tmp_path, caps
     tangle.write_text("loops 1\n")
     assert main(["eval", "--model", path, str(tangle)]) == 1
     assert capsys.readouterr().err == f"vlink: error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("spelling", ['"re": NaN', '"re": "inf"', '"im": -Infinity'])
+@pytest.mark.parametrize("symmetrize", [False, True])
+def test_load_model_rejects_non_finite_values(tmp_path, capsys, spelling, symmetrize):
+    # Python's json reads NaN and Infinity, and float() reads "inf": each
+    # is refused by entry, with no numpy warning first.
+    path = tmp_path / "m.json"
+    path.write_text(
+        '{"n": 2, "entries": [{"i": 1, "j": 1, "k": 1, "l": 1, "re": 1},'
+        f' {{"i": 2, "j": 1, "k": 2, "l": 1, {spelling}}}]}}'
+    )
+    tangle = tmp_path / "loop.vld"
+    tangle.write_text("x v1 a a b b\n")
+    args = ["eval", "--model", str(path), str(tangle)] + ["--symmetrize"] * symmetrize
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            vl.load_model(str(path), project=symmetrize)
+        assert str(info.value) == f"{path}: entry #1 is not finite"
+        assert main(args) == 1
+    assert capsys.readouterr() == ("", f"vlink: error: {path}: entry #1 is not finite\n")
 
 
 def test_load_model_accepts_integral_numbers(tmp_path):
