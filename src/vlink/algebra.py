@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -296,7 +297,8 @@ def tangle_derivative(g: Tangle) -> QuantumTangle:
 def load_quantum_tangle(path: str) -> QuantumTangle:
     """Load a linear combination from a ``.qtl`` manifest.
 
-    Diagram paths are resolved relative to the manifest's directory.
+    Coefficient parts must be finite numbers.  Diagram paths are resolved
+    relative to the manifest's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
     items = []
@@ -311,6 +313,8 @@ def load_quantum_tangle(path: str) -> QuantumTangle:
             re_part, im_part = float(tokens[1]), float(tokens[2])
         except ValueError:
             raise VldError("coefficient parts must be numbers", str(path), lineno)
+        if not math.isfinite(re_part) or not math.isfinite(im_part):
+            raise VldError("coefficient parts must be finite", str(path), lineno)
         sub = tokens[3]
         if not os.path.isabs(sub):
             sub = os.path.join(base, sub)

@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gram", help="Gram matrix of glued tangle pairs (real model)")
-    add_common(p, model=True)
+    add_common(p, model=True, fmt=False)
     p.add_argument("--max-vertices", type=int, default=1)
 
     p = sub.add_parser("enumerate", help="list tangles up to isomorphism")
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=1)
 
     p = sub.add_parser("random", help="emit a seeded random model or tangle")
-    add_common(p)
+    add_common(p, fmt=False)
     p.add_argument("--kind", choices=("model", "tangle"), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=2, help="state count (model)")

@@ -24,17 +24,19 @@ rows is the next merge, and a merge recomputes only the rows it can
 change.  A plan for a closed diagram of 12-20 vertices takes about 0.2 ms
 on a 2.1 GHz Xeon, one for a tangle of at most 5 vertices tens of µs.
 
-How a plan is chosen: without a state count n, `plan_contraction` returns
-the greedy plan.  `model.tangle_tensor` passes the model's n, and then the
-greedy plan stands unless its multiply-adds at n (`ContractionPlan.madds`)
-reach ``_SEARCH_MADDS``.  Such a plan is searched: the same greedy
-selection runs again over node orders shuffled by a `random.Random` of
-fixed seed, which breaks its many arity ties another way.  One pass runs
-per ``_SEARCH_MADDS`` of the best cost so far, at most ``_SEARCH_PASSES``;
-a pass stops once its cost reaches the best so far, and only a strictly
+How a plan is chosen: `plan_contraction` plans a tangle at a state count
+n, the one `model.tangle_tensor` passes.  The greedy plan stands unless its
+multiply-adds at n (`ContractionPlan.madds`), summed as it is made, reach
+``_SEARCH_MADDS``.  Such a plan is searched: the same greedy selection runs
+again over node orders shuffled by a `random.Random` of fixed seed, which
+breaks its many arity ties another way.  One pass runs per
+``_SEARCH_MADDS`` of the best cost so far, at most ``_SEARCH_PASSES``; a
+pass stops once its cost reaches the best so far, and only a strictly
 cheaper plan replaces the greedy one.  So planning effort grows with the
 execution it can save, and small tangles at small n, as in the move and
-characterization checks, keep the greedy plan.  On the first 4,000
+characterization checks, keep the greedy plan.  The merge order greedy
+picks does not depend on n, and at n=1 every merge costs one multiply-add,
+so ``plan_contraction(t, 1)`` is the greedy plan.  On the first 4,000
 diagrams of each of the benchmark's eval-large seeds 1-10 (closed, 12-20
 vertices, n=3 and 4) the search cuts total multiply-adds to 0.28-0.50 of
 greedy's, and the largest intermediate from 16 MiB (256 MiB on seed 6) to
@@ -56,13 +58,12 @@ bounded free list, so that it is not mapped and page-faulted afresh on
 every call; the buffer goes back to the list once the merge that reads
 it has run, and the one under a returned array never does.  Operand
 copies are numpy's own, made by reshape where it must copy.
-A tangle keeps its plans: `plan_contraction` stores the greedy plan and
-the plan chosen at each n in the tangle's instance dict, next to its
-cached hash and outside its equality, hash and repr.  A plan so lives
-exactly as long as its tangle, and nothing bounds or evicts it.  The
-tangles that are evaluated again (a Gram basis, a move chain's current
-diagram) are the ones their callers hold; an equal tangle built anew is
-planned anew, to the same plan.
+A tangle keeps its plans: `plan_contraction` stores the plan made at each
+n in the tangle's instance dict, next to its cached hash and outside its
+equality, hash and repr.  A plan so lives exactly as long as its tangle,
+and nothing bounds or evicts it.  The tangles that are evaluated again (a
+Gram basis, a move chain's current diagram) are the ones their callers
+hold; an equal tangle built anew is planned anew, to the same plan.
 """
 
 from __future__ import annotations
@@ -142,13 +143,8 @@ class ContractionPlan:
     """Ordered pairwise merges; every internal edge is contracted exactly once."""
 
     steps: tuple[ContractionStep, ...]
-    traced_at_init: tuple[tuple[tuple, tuple[int, ...]], ...]
     peak_arity: int
     compiled: _Compiled = field(compare=False, repr=False)
-
-    def peak_size(self, n: int) -> int:
-        """Largest intermediate tensor entry count at state count ``n``."""
-        return n ** self.peak_arity
 
     def madds(self, n: int) -> int:
         """Multiply-adds of the merges at state count ``n``: the sum over
@@ -161,17 +157,17 @@ class ContractionPlan:
         return 16 * max((n ** (fa + fb) for _, _, _, _, fa, _, fb in self.compiled.steps), default=0)
 
 
-#: `plan_contraction` calls since import that made a greedy plan (misses)
-#: and that found one on the tangle (hits).  They are counted without a
+#: `plan_contraction` calls since import that made a plan (misses) and
+#: that found one on the tangle (hits).  They are counted without a
 #: lock, so threads planning at once may lose a count.
 _hits = _misses = 0
 
 
-def plan_contraction(t: Tangle, n: int | None = None) -> ContractionPlan:
-    """Pairwise merge plan for evaluating ``t``: the greedy plan, or with
-    ``n`` the plan chosen at ``n``, where a greedy plan costly at ``n`` is
-    searched for a cheaper one (see the module docstring).  Each plan is
-    made once per tangle and n, and kept on the tangle."""
+def plan_contraction(t: Tangle, n: int) -> ContractionPlan:
+    """Pairwise merge plan for evaluating ``t`` at state count ``n``: the
+    greedy plan, searched for a cheaper one when it is costly at ``n`` (see
+    the module docstring).  Each plan is made once per tangle and n, and
+    kept on the tangle."""
     global _hits, _misses
     try:
         plan = t._plans[n]
@@ -182,31 +178,21 @@ def plan_contraction(t: Tangle, n: int | None = None) -> ContractionPlan:
     else:
         _hits += 1
         return plan
-    plans = t._plans
-    greedy = plans.get(None)
-    if greedy is None:
-        _misses += 1
-        nodes = _Nodes.of(t)
-        merges, cost = _greedy(nodes.masks, nodes.legs_at + t.arity, n)
-    else:
-        _hits += 1
-        nodes, cost = None, greedy.madds(n)
-    plan = greedy
-    if n and cost >= _SEARCH_MADDS:
-        if nodes is None:
-            nodes = _Nodes.of(t)
-        found = _search(nodes, nodes.legs_at + t.arity, n, cost)
+    _misses += 1
+    nodes = _Nodes.of(t)
+    bits = nodes.legs_at + t.arity
+    merges, cost = _greedy(nodes.masks, bits, n)
+    if cost >= _SEARCH_MADDS:
+        found = _search(nodes, bits, n, cost)
         if found is not None:
-            plan = _compile(t, nodes, found)
-    if plan is None:
-        plan = plans[None] = _compile(t, nodes, merges)
-    plans[n] = plan
+            merges = found
+    plan = t._plans[n] = _compile(t, nodes, merges)
     return plan
 
 
 def plan_cache_info() -> CacheInfo:
     """Hits and misses of `plan_contraction` since import: a miss made the
-    tangle's greedy plan, a hit found it already made.  Plans are kept on
+    tangle's plan at n, a hit found it already made.  Plans are kept on
     their tangles, so size and bound are None."""
     return CacheInfo(_hits, _misses, None, None)
 
@@ -237,7 +223,6 @@ class _Nodes(NamedTuple):
     axes: list[list[int]]  # each node's axis bits in its tensor's axis order
     masks: list[int]  # each node's axis bits as one int
     init: list[str | None]
-    traced: list[tuple[tuple, tuple[int, ...]]]
     legs_at: int
 
     @classmethod
@@ -259,7 +244,6 @@ class _Nodes(NamedTuple):
                 axes.append([legs_at + la - 1, legs_at + lb - 1])
                 masks.append(1 << legs_at + la - 1 | 1 << legs_at + lb - 1)
         init: list[str | None] = [None] * len(keys)
-        traced = []
         for v, ids in enumerate(slots):
             keys.append(("v", v))
             a, b, c, d = ids
@@ -269,33 +253,31 @@ class _Nodes(NamedTuple):
                 axes.append(ids)
                 init.append("")
                 continue
-            spec, kept, looped = _self_loops(tuple(map(ids.index, ids)))
+            spec, kept = _self_loops(tuple(map(ids.index, ids)))
             axes.append([ids[s] for s in kept])
-            traced.append((("v", v), tuple(sorted(ids[s] for s in looped))))
             init.append(spec)
-        return cls(keys, axes, masks, init, traced, legs_at)
+        return cls(keys, axes, masks, init, legs_at)
 
 
 @functools.cache
-def _self_loops(first: tuple[int, ...]) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+def _self_loops(first: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
     """For a vertex whose slot s carries the same axis as slot first[s] (the
     first slot with that axis): the einsum subscripts that trace its
-    self-loops, its slots left open, and the first slot of each loop.  Nine
-    such patterns exist (one loop on 6 slot pairs, or two loops on 3)."""
+    self-loops and its slots left open.  Nine such patterns exist (one loop
+    on 6 slot pairs, or two loops on 3)."""
     letters = {p: string.ascii_letters[rank] for rank, p in enumerate(sorted(set(first)))}
     kept = tuple(s for s in range(4) if first.count(first[s]) == 1)
-    looped = tuple(p for p in sorted(set(first)) if first.count(p) == 2)
     subscript = "".join(letters[p] for p in first)
-    return f"{subscript}->{''.join(letters[first[s]] for s in kept)}", kept, looped
+    return f"{subscript}->{''.join(letters[first[s]] for s in kept)}", kept
 
 
 def _greedy(
-    masks: list[int], bits: int, n: int | None = None, bound: float = math.inf
+    masks: list[int], bits: int, n: int, bound: float = math.inf
 ) -> tuple[list[tuple[int, int]] | None, int]:
     """The greedy merge order over nodes with axis bit masks ``masks``, in
-    id order, of ``bits`` axis bits in all: (kept id, merged id) pairs.
-    With ``n``, also its multiply-adds at n (`ContractionPlan.madds`), or
-    (None, cost) once they reach ``bound``."""
+    id order, of ``bits`` axis bits in all, as (kept id, merged id) pairs,
+    and its multiply-adds at n (`ContractionPlan.madds`); or (None, cost)
+    once they reach ``bound``."""
     # row[x] encodes x's best partner y, the least (arity, y) over live
     # y > x, as the integer (arity * count + x) * count + y, so the least
     # row is the least (arity, x, y) over all pairs.  No arity exceeds
@@ -323,10 +305,9 @@ def _greedy(
     while len(live) > 1:
         i, j = divmod(min(row) % (count * count), count)
         merges.append((i, j))
-        if n:
-            cost += n ** (masks[i] | masks[j]).bit_count()
-            if cost >= bound:
-                return None, cost
+        cost += n ** (masks[i] | masks[j]).bit_count()
+        if cost >= bound:
+            return None, cost
         merged = masks[i] = masks[i] ^ masks[j]
         live.remove(j)
         row[j] = no_partner
@@ -405,7 +386,7 @@ def _compile(t: Tangle, nodes: _Nodes, merges: list[tuple[int, int]]) -> Contrac
         raise AssertionError(f"contraction left unexpected open axes {ids}")
     transpose = tuple(final.index(legs_at + l) for l in range(t.arity))
     compiled = _Compiled(t.num_vertices, t.arity, tuple(nodes.init), tuple(compiled_steps), transpose)
-    return ContractionPlan(tuple(steps), tuple(nodes.traced), peak, compiled)
+    return ContractionPlan(tuple(steps), peak, compiled)
 
 
 class _Pool:

@@ -128,10 +128,6 @@ class Tangle:
             f" (missing {missing!r}, unexpected {extra!r})"
         )
 
-    @property
-    def is_diagram(self) -> bool:
-        return self.arity == 0
-
     def __repr__(self) -> str:  # compact, deterministic
         return (
             f"Tangle(v={self.num_vertices}, k={self.arity}, "
@@ -417,8 +413,8 @@ def knot_components(g: Tangle) -> int:
 #: Most tangles whose keys `canonical_key` keeps, by their fields rather
 #: than the tangles themselves (which would keep their plans alive); the
 #: least recently used goes first, so a long run keying many distinct
-#: tangles holds bounded memory.
-KEY_CACHE_BOUND = 1 << 16
+#: tangles holds bounded memory: about 2.6 KB per entry, 10 MiB when full.
+KEY_CACHE_BOUND = 1 << 12
 
 
 class CacheInfo(NamedTuple):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import QuantumTangle
-from .contraction import ContractionPlan, execute_plan, plan_contraction
+from .contraction import execute_plan, plan_contraction
 from .diagram import CacheInfo, Tangle
 
 __all__ = [
@@ -126,10 +126,6 @@ class TangleTensor:
         if values.shape != (self.n,) * self.arity:
             raise ValueError(f"values must have shape {(self.n,) * self.arity}")
         object.__setattr__(self, "values", values)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +323,9 @@ def save_model(model: VertexModel, path: str) -> None:
 # Evaluation
 
 
-def tangle_tensor(model: VertexModel, t: Tangle, plan: ContractionPlan | None = None) -> TangleTensor:
+def tangle_tensor(model: VertexModel, t: Tangle) -> TangleTensor:
     """Evaluate a k-tangle to its tensor over leg labels 1..k."""
-    if plan is None:
-        plan = plan_contraction(t, model.n)
-    values = execute_plan(model.entries, model.n, t, plan)
+    values = execute_plan(model.entries, model.n, t, plan_contraction(t, model.n))
     if t.loop_count:
         try:
             scale = float(model.n) ** t.loop_count
@@ -343,11 +337,11 @@ def tangle_tensor(model: VertexModel, t: Tangle, plan: ContractionPlan | None = 
     return TangleTensor(t.arity, model.n, values)
 
 
-def partition_function(model: VertexModel, g: Tangle, plan: ContractionPlan | None = None) -> complex:
+def partition_function(model: VertexModel, g: Tangle) -> complex:
     """The scalar f_R(G) of a diagram (arity 0)."""
     if g.arity:
         raise ValueError("partition_function needs a diagram; use tangle_tensor for tangles")
-    return complex(tangle_tensor(model, g, plan).values)
+    return complex(tangle_tensor(model, g).values)
 
 
 def qt_evaluate(model: VertexModel, qt: QuantumTangle) -> TangleTensor | complex:

@@ -312,6 +312,17 @@ def test_load_quantum_tangle(tmp_path):
     assert qt.coefficient(vl.parse_tangle("x v1 a b a b")) == -0.5 + 2.0j
 
 
+def test_load_quantum_tangle_rejects_non_finite_coefficients(tmp_path):
+    vl.save_tangle(vl.loop_diagram(1), str(tmp_path / "one.vld"))
+    manifest = tmp_path / "bad.qtl"
+    for part in ("nan", "inf", "-Infinity"):
+        for line in (f"term {part} 0 one.vld", f"term 1 {part} one.vld"):
+            manifest.write_text(f"term 1 0 one.vld\n{line}\n")
+            with pytest.raises(vl.VldError, match="coefficient parts must be finite") as info:
+                vl.load_quantum_tangle(str(manifest))
+            assert (info.value.source, info.value.line) == (str(manifest), 2)
+
+
 def test_load_quantum_tangle_errors(tmp_path):
     manifest = tmp_path / "bad.qtl"
     manifest.write_text("term 1 0\n")

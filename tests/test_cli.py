@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -130,6 +131,16 @@ def test_eval_qtl(workdir, capsys):
     )
     assert code == 0
     assert out == "4 0\n"
+
+
+def test_eval_qtl_non_finite_coefficient_is_input_error(workdir, capsys):
+    # A NaN term would be pruned with every finite term summed into it, and
+    # an infinite one would print inf: both are refused, naming the line.
+    manifest = workdir / "bad.qtl"
+    for part in ("nan", "inf", "-Infinity"):
+        manifest.write_text(f"term 1 0 two_knots.vld\nterm {part} 0 two_knots.vld\n")
+        code, out, err = run(capsys, "eval", "--model", workdir / "transmission.json", manifest)
+        assert (code, out, err) == (1, "", f"vlink: error: {manifest}:2: coefficient parts must be finite\n")
 
 
 def test_eval_qtl_large_term(workdir, capsys):
@@ -351,6 +362,17 @@ def test_gram_outputs_matrix_and_eigenvalue(workdir, capsys):
     assert err.startswith("min_eigenvalue ")
 
 
+def test_gram_and_random_refuse_format(workdir, capsys):
+    # Neither reads --format, so neither accepts it.
+    for argv in (
+        ["gram", "--model", workdir / "real.json", "--format", "json-lines"],
+        ["random", "--kind", "model", "--format", "csv"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --format" in err
+
+
 def test_gram_complex_model_is_input_error(workdir, capsys):
     code, _, err = run(
         capsys, "gram", "--model", workdir / "knots.json", "--max-vertices", "1"
@@ -411,6 +433,19 @@ def test_negative_sizes_are_input_errors(workdir, capsys):
     )
     assert (code, out) == (1, "")
     assert err == "vlink: error: max_vertices must be nonnegative, got -1\n"
+
+
+def test_enumerate_output_bytes_are_pinned(capsys):
+    # Classes print in canonical-key order; these digests pin every byte of
+    # the output, closed classes (keyed by the least code over their
+    # starts) and 4-tangles.
+    for argv, count, digest in (
+        (["--k", "0", "--max-vertices", "3"], 338, "7e59a818aba0b5c1ae290c0f07e3c36af0659a6557f6b9e0376877c845261ff1"),
+        (["--k", "4", "--max-vertices", "2"], 1470, "613285963fb41e7b3d67fc7afe8e047c5ea5621da271654cdeb78ab11b7ddc86"),
+    ):
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert (code, err) == (0, f"count {count}\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_enumerate_does_not_depend_on_hash_seed():
@@ -565,7 +600,7 @@ sys.exit(main(sys.argv[1:]))
 def test_eval_out_of_memory_is_an_error(tmp_path):
     # At n=4 this plan's widest intermediate holds 4^14 complex entries (4 GiB).
     t = vl.random_tangle(np.random.default_rng(0), 0, 40)
-    assert plan_contraction(t).peak_arity == 14
+    assert plan_contraction(t, 1).peak_arity == 14
     # The plan the CLI runs at n=4 still needs more than the child's cap.
     assert plan_contraction(t, 4).peak_bytes(4) > 128 << 20
     vl.save_tangle(t, str(tmp_path / "big.vld"))

@@ -28,7 +28,7 @@ def _chain_diagram(length: int) -> vl.Tangle:
 
 def test_plan_covers_all_legs():
     t = vl.parse_tangle("x v1 a b c d\nleg 1 a\nleg 2 b\nleg 3 c\nleg 4 d")
-    plan = plan_contraction(t)
+    plan = plan_contraction(t, 2)
     assert plan.peak_arity >= 4
     tensor = execute_plan(vl.transmission_model(2).entries, 2, t, plan)
     assert tensor.shape == (2, 2, 2, 2)
@@ -64,8 +64,8 @@ def test_execute_matches_naive_various_n():
 def test_self_loop_traced_at_init():
     # A vertex with both self-loops never enters a pairwise contraction.
     t = vl.parse_tangle("x v1 a a b b")
-    plan = plan_contraction(t)
-    assert len(plan.traced_at_init) >= 1
+    plan = plan_contraction(t, 3)
+    assert any(plan.compiled.init)  # an einsum that traces the loops
     assert not plan.steps
     model = vl.random_model(3, np.random.default_rng(23))
     ref = naive_tangle_tensor(model.entries, 3, t)
@@ -73,7 +73,7 @@ def test_self_loop_traced_at_init():
 
 
 def test_leg_to_leg_edge_gives_identity():
-    plan = plan_contraction(vl.strand_tangle())
+    plan = plan_contraction(vl.strand_tangle(), 4)
     values = execute_plan(vl.random_model(4, np.random.default_rng(0)).entries, 4, vl.strand_tangle(), plan)
     assert np.array_equal(values, np.eye(4))
 
@@ -84,7 +84,7 @@ def test_plans_without_merges_return_fresh_writable_arrays():
     # vertex tensor, that the caller may write to.
     entries = vl.random_model(3, np.random.default_rng(24)).entries
     for t in (vl.strand_tangle(), vl.parse_tangle("x v1 a b c d\nleg 1 a\nleg 2 b\nleg 3 c\nleg 4 d")):
-        plan = plan_contraction(t)
+        plan = plan_contraction(t, 3)
         assert not plan.steps
         first = execute_plan(entries, 3, t, plan)
         second = execute_plan(entries, 3, t, plan)
@@ -96,21 +96,27 @@ def test_plans_without_merges_return_fresh_writable_arrays():
 
 
 def test_plan_reuse_and_determinism():
+    # A tangle is planned once at n; an equal tangle built anew gets an
+    # equal plan and the same value.  Callers cannot pass a plan of their own.
     t = vl.parse_tangle("x v1 a b c d\nx v2 c d a b")
-    plan_a = plan_contraction(t)
-    plan_b = plan_contraction(t)
-    assert plan_a == plan_b
+    plan = plan_contraction(t, 2)
+    assert plan_contraction(t, 2) is plan
+    assert plan_contraction(_copy(t), 2) == plan
     model = vl.random_model(2, np.random.default_rng(24))
-    assert vl.partition_function(model, t, plan_a) == vl.partition_function(model, t, plan_b)
+    assert vl.partition_function(model, t) == vl.partition_function(model, _copy(t))
+    with pytest.raises(TypeError):
+        vl.partition_function(model, t, plan)
+    with pytest.raises(TypeError):
+        vl.tangle_tensor(model, t, plan=plan)
 
 
 def test_chain_plan_stays_narrow():
     chain = _chain_diagram(8)
-    plan = plan_contraction(chain)
+    plan = plan_contraction(chain, 4)
     # Sweeping along the chain keeps intermediate tensors small: peak cost
     # n**peak_arity versus n**16 colorings for the naive sum.
     assert plan.peak_arity <= 6
-    assert plan.peak_size(4) <= 4**6
+    assert plan.peak_bytes(4) <= 16 * 4**6
     model = vl.transmission_model(4)
     # Two knots wind around the chain, so transmission gives n**2.
     assert abs(vl.partition_function(model, chain) - 16.0) < 1e-9
@@ -127,7 +133,7 @@ def test_chain_matches_naive_when_small():
 def test_loop_factor_left_to_caller():
     # execute_plan excludes the n**loops factor; tangle_tensor applies it.
     g = vl.loop_diagram(2)
-    plan = plan_contraction(g)
+    plan = plan_contraction(g, 3)
     raw = execute_plan(vl.transmission_model(3).entries, 3, g, plan)
     assert complex(raw) == 1.0 + 0.0j
     assert vl.partition_function(vl.transmission_model(3), g) == 9.0 + 0.0j
@@ -141,11 +147,11 @@ def test_plan_matches_greedy_oracle():
             t = vl.random_tangle(
                 rng, 2 * int(rng.integers(0, 4)), num_vertices, int(rng.integers(0, 2))
             )
-            plan = plan_contraction(t)
+            plan = plan_contraction(t, 1)
             steps = [(s.left, s.right, s.contracted, s.result_arity) for s in plan.steps]
             assert steps == greedy_plan_steps(t), t
             seen["legs"] += t.arity > 0
-            seen["self_loops"] += bool(plan.traced_at_init)
+            seen["self_loops"] += any(plan.compiled.init)
             seen["leg_to_leg"] += any(a[0] == b[0] == vl.LEG for a, b in t.edges)
     assert min(seen.values()) > 0, seen
 
@@ -178,7 +184,7 @@ def test_plan_matches_greedy_oracle_at_eval_sizes():
         pool.append(_disjoint(parts))
     seen = {"large": 0, "legs": 0, "outer": 0, "scalar": 0}
     for t in pool:
-        plan = plan_contraction(t)
+        plan = plan_contraction(t, 1)
         steps = [(s.left, s.right, s.contracted, s.result_arity) for s in plan.steps]
         assert steps == greedy_plan_steps(t), t
         n = 3 if t.num_vertices <= 14 else 2
@@ -205,7 +211,7 @@ digest = hashlib.sha256()
 for num_vertices in range(25):
     for arity in range(0, 7, 2):
         t = vl.random_tangle(rng, arity, num_vertices, int(rng.integers(0, 2)))
-        plan = vl.plan_contraction(t)
+        plan = vl.plan_contraction(t, 1)
         digest.update(repr(plan).encode() + repr(plan.compiled).encode())
 print(digest.hexdigest())
 """
@@ -244,12 +250,12 @@ def test_execute_matches_reference_bitwise():
     # order, so every bit of the result agrees.
     seen = {"self_loops": 0, "leg_to_leg": 0, "loops": 0, "empty": 0, "outer": 0}
     for t, n, entries in _seeded_cases():
-        plan = plan_contraction(t)
+        plan = plan_contraction(t, 1)
         got = execute_plan(entries, n, t, plan)
         ref = reference_execute(entries, n, t, plan)
         assert got.shape == ref.shape == (n,) * t.arity, t
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), t
-        seen["self_loops"] += bool(plan.traced_at_init)
+        seen["self_loops"] += any(plan.compiled.init)
         seen["leg_to_leg"] += any(a[0] == b[0] == vl.LEG for a, b in t.edges)
         seen["loops"] += t.loop_count > 0
         seen["empty"] += not t.edges
@@ -272,7 +278,7 @@ def test_plan_costs_match_reference_tensordots(monkeypatch):
     monkeypatch.setattr(np, "tensordot", recording)
     searched = 0
     for t, n, entries in _seeded_cases():
-        greedy = plan_contraction(t)
+        greedy = plan_contraction(t, 1)
         for plan in (greedy, plan_contraction(t, n)):
             built.clear()
             reference_execute(entries, n, t, plan)
@@ -294,7 +300,7 @@ def _costly_cases():
     while len(cases) < 24:
         n = int(rng.integers(3, 5))
         t = vl.random_tangle(rng, 0, int(rng.integers(*{3: (16, 25), 4: (12, 16)}[n])), int(rng.integers(0, 2)))
-        greedy = plan_contraction(t)
+        greedy = plan_contraction(t, 1)
         if greedy.madds(n) >= vlink.contraction._SEARCH_MADDS and greedy.peak_bytes(n) <= 16 << 20:
             cases.append((t, n, entries[n], greedy))
     return cases
@@ -323,7 +329,7 @@ def test_plans_below_the_search_threshold_are_greedy(small_corpus):
     for t in small_corpus:
         for n in (1, 2, 3, 4):
             assert plan_contraction(t, n).madds(n) < vlink.contraction._SEARCH_MADDS
-            assert plan_contraction(t, n) == plan_contraction(t), (t, n)
+            assert plan_contraction(t, n) == plan_contraction(t, 1), (t, n)
 
 
 _SEARCH_DIGEST = """
@@ -337,7 +343,7 @@ for _ in range(40):
     n = int(rng.integers(3, 5))
     t = vl.random_tangle(rng, 0, int(rng.integers(*{3: (16, 25), 4: (12, 16)}[n])), int(rng.integers(0, 2)))
     plan = vl.plan_contraction(t, n)
-    changed += plan != vl.plan_contraction(t)
+    changed += plan != vl.plan_contraction(t, 1)
     digest.update(repr(plan).encode() + repr(plan.compiled).encode())
 print(changed, digest.hexdigest())
 """
@@ -365,7 +371,7 @@ def _wide_tangle(rng: np.random.Generator, arity: int, num_vertices: int, n: int
     last, of at least the pool's minimum size at ``n``."""
     while True:
         t = vl.random_tangle(rng, arity, num_vertices)
-        steps = plan_contraction(t).compiled.steps[:-1]
+        steps = plan_contraction(t, 1).compiled.steps[:-1]
         if any(n ** (fa + fb) >= vlink.contraction._POOL_MIN for _, _, _, _, fa, _, fb in steps):
             return t
 
@@ -382,10 +388,10 @@ def test_pooled_buffers_keep_results_apart(monkeypatch):
     entries = {n: vl.random_model(n, rng).entries for n in (5, 10)}
     chain = vl.parse_tangle("x v1 a b c d\nx v2 c d e f\nleg 1 a\nleg 2 b\nleg 3 e\nleg 4 f")
     cases = [(_wide_tangle(rng, 6, 6, 5), 5), (_wide_tangle(rng, 6, 6, 5), 5), (chain, 10)]
-    assert plan_contraction(chain).compiled.transpose == (0, 1, 2, 3)
+    assert plan_contraction(chain, 1).compiled.transpose == (0, 1, 2, 3)
     kept = []
     for t, n in cases * 2:
-        plan = plan_contraction(t)
+        plan = plan_contraction(t, 1)
         got = execute_plan(entries[n], n, t, plan)
         assert got.tobytes() == reference_execute(entries[n], n, t, plan).tobytes(), t
         for earlier, snapshot in kept:
@@ -402,7 +408,7 @@ def test_real_entries_run_as_complex_through_pooled_merges():
     rng = np.random.default_rng(85)
     n = 5
     t = _wide_tangle(rng, 6, 6, n)
-    plan = plan_contraction(t)
+    plan = plan_contraction(t, 1)
     real = rng.standard_normal((n,) * 4)
     for entries in (real, real.astype(np.complex64)):
         want = reference_execute(entries.astype(complex), n, t, plan)
@@ -422,7 +428,7 @@ def test_threads_share_the_pool(monkeypatch):
     cases = []
     for _ in range(2):
         t = _wide_tangle(rng, 6, 6, n)
-        plan = plan_contraction(t)
+        plan = plan_contraction(t, 1)
         cases.append((t, plan, reference_execute(entries, n, t, plan).tobytes()))
 
     def run(order: int) -> bool:
@@ -453,7 +459,7 @@ def test_pool_stays_bounded_after_a_flood_of_wide_plans(monkeypatch):
     sizes, most = set(), 0
     for n, arity in [(5, 6), (6, 4), (7, 4)] * 4:
         t = _wide_tangle(rng, arity, 6, n)
-        plan = plan_contraction(t)
+        plan = plan_contraction(t, 1)
         got = execute_plan(models[n], n, t, plan)
         assert got.tobytes() == reference_execute(models[n], n, t, plan).tobytes(), t
         free = [buf for bufs in pool.free.values() for buf in bufs]
@@ -481,7 +487,7 @@ def test_only_large_merge_results_take_pooled_buffers(monkeypatch):
     large = []
     for _ in range(6):
         t = _wide_tangle(rng, 6, 6, n)
-        plan = plan_contraction(t)
+        plan = plan_contraction(t, 1)
         got = execute_plan(entries, n, t, plan)
         assert got.tobytes() == reference_execute(entries, n, t, plan).tobytes(), t
         sizes = [n ** (fa + fb) for _, _, _, _, fa, _, fb in plan.compiled.steps]
@@ -491,7 +497,7 @@ def test_only_large_merge_results_take_pooled_buffers(monkeypatch):
 
 def test_execute_rejects_plan_of_another_tangle():
     t = vl.parse_tangle("x v1 a b c d\nx v2 c d a b")
-    plan = plan_contraction(t)
+    plan = plan_contraction(t, 2)
     entries = vl.random_model(2, np.random.default_rng(42)).entries
     for other in (
         vl.parse_tangle("x v1 a b a b"),
@@ -513,17 +519,16 @@ def test_equal_tangles_built_anew_get_equal_plans_and_bits():
     cases = [(small, 2, vl.random_model(2, np.random.default_rng(9)).entries)]
     cases += [(t, n, entries) for t, n, entries, _ in _costly_cases()[:4]]
     for t, n, entries in cases:
-        for at in (None, n):
-            plan, again = plan_contraction(t, at), plan_contraction(_copy(t), at)
-            assert again == plan and again is not plan
-            assert repr(again.compiled) == repr(plan.compiled)
-            assert execute_plan(entries, n, t, again).tobytes() == execute_plan(entries, n, t, plan).tobytes()
+        plan, again = plan_contraction(t, n), plan_contraction(_copy(t), n)
+        assert again == plan and again is not plan
+        assert repr(again.compiled) == repr(plan.compiled)
+        assert execute_plan(entries, n, t, again).tobytes() == execute_plan(entries, n, t, plan).tobytes()
 
 
 def test_a_plan_lives_as_long_as_its_tangle():
     (costly, n, _, _), *_ = _costly_cases()
     # Each tangle is built inside the loop, so that only ``t`` holds it.
-    for make, at in ((lambda: _chain_diagram(5), None), (lambda: _chain_diagram(5), 3), (lambda: _copy(costly), n)):
+    for make, at in ((lambda: _chain_diagram(5), 3), (lambda: _copy(costly), n)):
         t = make()
         plan = weakref.ref(plan_contraction(t, at))
         assert plan_contraction(t, at) is plan()
@@ -533,29 +538,23 @@ def test_a_plan_lives_as_long_as_its_tangle():
 
 
 def test_a_plan_at_n_is_chosen_once(monkeypatch):
-    # The search check runs once per tangle and n; later calls at n return
-    # the plan kept on the tangle.  The diagram is one whose multiply-adds
-    # at 3 must be summed to rule a search out: no bound from its step
-    # count and peak arity does.
-    rng = np.random.default_rng(3)
-    while True:
-        t = vl.random_tangle(rng, 0, 11)
-        greedy = plan_contraction(t)
-        if len(greedy.steps) * 3 ** (2 * greedy.peak_arity) >= vlink.contraction._SEARCH_MADDS:
-            break
-    madds = ContractionPlan.madds
+    # The greedy pass, which sums the plan's multiply-adds at n as it
+    # merges, runs once per tangle and n; later calls at n return the plan
+    # kept on the tangle.  Below the search threshold that plan is greedy.
+    t = _chain_diagram(6)
+    greedy = vlink.contraction._greedy
     calls = []
 
-    def once(plan, n):
-        calls.append(n)
-        if len(calls) > 1:
-            raise AssertionError("madds called again")
-        return madds(plan, n)
+    def counted(*args):
+        calls.append(args[2])
+        return greedy(*args)
 
-    monkeypatch.setattr(ContractionPlan, "madds", once)
-    assert plan_contraction(t, 3) is greedy
-    assert plan_contraction(t, 3) is greedy
+    monkeypatch.setattr(vlink.contraction, "_greedy", counted)
+    plan = plan_contraction(t, 3)
+    assert plan_contraction(t, 3) is plan
     assert calls == [3]
+    assert plan.madds(3) < vlink.contraction._SEARCH_MADDS
+    assert plan == plan_contraction(_copy(t), 1)
 
 
 def test_a_searched_diagram_is_planned_once(monkeypatch):
@@ -583,14 +582,19 @@ def test_a_searched_diagram_is_planned_once(monkeypatch):
     assert searched > 0
 
 
-def test_plans_below_the_search_threshold_share_one_cache_entry():
-    # Below the search threshold the plan at every n is the greedy plan,
-    # so a tangle planned without n and at n = 2, 3, 4 is planned once.
+def test_a_tangle_keeps_one_plan_per_n():
+    # Each n gets a plan of its own, made by the first call at n (a miss)
+    # and found on the tangle by later ones (hits).  Below the search
+    # threshold the plans are equal, all greedy.  There is no plan without n.
     t = vl.parse_tangle("x v1 a b c d\nx v2 c d e f\nleg 1 a\nleg 2 b\nleg 3 e\nleg 4 f")
     hits, misses, _, _ = vl.plan_cache_info()
-    plan = plan_contraction(t)
-    assert all(plan_contraction(t, n) is plan for n in (2, 3, 4))
-    assert vl.plan_cache_info() == (hits + 3, misses + 1, None, None)
+    plans = {n: plan_contraction(t, n) for n in (1, 2, 3, 4)}
+    assert all(plan_contraction(t, n) is plan for n, plan in plans.items())
+    assert vl.plan_cache_info() == (hits + 4, misses + 4, None, None)
+    assert t._plans == plans and len({id(plan) for plan in plans.values()}) == 4
+    assert all(plan == plans[1] for plan in plans.values())
+    with pytest.raises(TypeError):
+        plan_contraction(t)
 
 
 def test_eval_runs_leave_no_plans_or_tangles(tmp_path, capsys):

@@ -416,7 +416,7 @@ def test_canonical_key_does_not_keep_its_tangle_alive():
 
     t = fresh()
     key = vl.canonical_key(t)
-    tangle, plan = weakref.ref(t), weakref.ref(vl.plan_contraction(t))
+    tangle, plan = weakref.ref(t), weakref.ref(vl.plan_contraction(t, 2))
     del t
     gc.collect()
     assert tangle() is None and plan() is None
