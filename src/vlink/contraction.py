@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 import string
 import threading
@@ -167,17 +168,18 @@ def plan_contraction(t: Tangle, n: int) -> ContractionPlan:
     """Pairwise merge plan for evaluating ``t`` at state count ``n``: the
     greedy plan, searched for a cheaper one when it is costly at ``n`` (see
     the module docstring).  Each plan is made once per tangle and n, and
-    kept on the tangle."""
+    kept on the tangle.  An ``n`` that is not an integer of at least 1 is a
+    ValueError, checked only when a plan is made, so a hit stays one
+    lookup."""
     global _hits, _misses
     try:
         plan = t._plans[n]
-    except AttributeError:  # t was never planned
-        object.__setattr__(t, "_plans", {})
-    except KeyError:
+    except (AttributeError, KeyError, TypeError):  # not planned at n, or n unhashable
         pass
     else:
         _hits += 1
         return plan
+    n = _state_count(n)
     _misses += 1
     nodes = _Nodes.of(t)
     bits = nodes.legs_at + t.arity
@@ -186,8 +188,24 @@ def plan_contraction(t: Tangle, n: int) -> ContractionPlan:
         found = _search(nodes, bits, n, cost)
         if found is not None:
             merges = found
-    plan = t._plans[n] = _compile(t, nodes, merges)
+    plan = _compile(t, nodes, merges)
+    try:
+        t._plans[n] = plan
+    except AttributeError:  # t was never planned
+        object.__setattr__(t, "_plans", {n: plan})
     return plan
+
+
+def _state_count(n: object) -> int:
+    """``n`` as an int if it is an integer of at least 1 (numpy integers
+    too, through ``operator.index``); else a ValueError naming it."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"state count n must be an integer >= 1, got {n!r}")
+    return count
 
 
 def plan_cache_info() -> CacheInfo:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import QuantumTangle
-from .contraction import execute_plan, plan_contraction
+from .contraction import _state_count, execute_plan, plan_contraction
 from .diagram import CacheInfo, Tangle
 
 __all__ = [
@@ -64,18 +64,17 @@ ORTHOGONALITY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class VertexModel:
-    """State count and the swap-invariant vertex tensor, finite in every
-    entry."""
+    """State count, an integer of at least 1, and the swap-invariant vertex
+    tensor, finite in every entry."""
 
     n: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("state count n must be >= 1")
+        n = _state_count(self.n)
         entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.n,) * 4:
-            raise ValueError(f"entries must have shape {(self.n,) * 4}, got {entries.shape}")
+        if entries.shape != (n,) * 4:
+            raise ValueError(f"entries must have shape {(n,) * 4}, got {entries.shape}")
         if not np.isfinite(entries).all():
             raise ValueError("entries must be finite (no NaN or infinity)")
         swapped = entries.transpose(2, 3, 0, 1)
@@ -86,6 +85,7 @@ class VertexModel:
             )
         entries = entries.copy()
         entries.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
 
     @property

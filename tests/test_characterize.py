@@ -8,6 +8,7 @@ import pytest
 
 import vlink as vl
 import vlink.characterize
+import vlink.model
 from vlink import LEG
 from vlink.characterize import BASIS_CACHE_BOUND, _candidates, _rank
 
@@ -230,6 +231,70 @@ def test_nondegeneracy_probe_ranks_agree():
         assert gram_rank >= 1
 
 
+def _programs(basis, n: int) -> set:
+    """The distinct (loop count, compiled program without its leg
+    transpose) of the tangles of ``basis`` at ``n``."""
+    out = set()
+    for t in basis:
+        c = vl.plan_contraction(t, n).compiled
+        out.add((t.loop_count, c.num_vertices, c.init, c.steps))
+    return out
+
+
+@pytest.mark.parametrize("arity, max_vertices", [(4, 1), (4, 2), (6, 1), (2, 2), (0, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_rows_and_gram_are_the_per_tangle_bits(arity, max_vertices, n):
+    # Rows copied from the row of an earlier tangle with the same program
+    # are the bits `tangle_tensor` gives each tangle on its own.
+    for real in (True, False):
+        model = vl.random_model(n, np.random.default_rng(70 + n), real=real)
+        basis, rows, gram = vlink.characterize._basis_gram(model, arity, max_vertices)
+        want = np.array([vl.tangle_tensor(model, t).values.ravel() for t in basis])
+        assert rows.shape == want.shape and rows.dtype == want.dtype
+        assert rows.tobytes() == want.tobytes()
+        assert gram.tobytes() == (want @ want.T).tobytes()
+
+
+@pytest.mark.parametrize(
+    "arity, max_vertices, tangles, programs", [(6, 1, 510, 10), (4, 2, 1470, 235), (0, 2, 30, 30)]
+)
+def test_a_basis_contracts_each_distinct_program_once(monkeypatch, arity, max_vertices, tangles, programs):
+    calls = []
+    execute = vlink.model.execute_plan
+
+    def counted(entries, n, t, plan):
+        calls.append(t)
+        return execute(entries, n, t, plan)
+
+    model = vl.random_model(2, np.random.default_rng(73), real=True)
+    basis = vlink.characterize._basis(arity, max_vertices)
+    assert len(basis) == tangles and len(_programs(basis, 2)) == programs
+    monkeypatch.setattr(vlink.model, "execute_plan", counted)
+    vlink.characterize._basis_gram(model, arity, max_vertices)
+    assert len(calls) == programs
+    assert len(_programs(calls, 2)) == programs
+
+
+def test_tangles_of_one_program_with_other_loop_counts_get_rows_of_their_own(monkeypatch):
+    # A one-vertex 4-tangle and its leg relabellings share one program;
+    # vertexless loops scale a tensor by n^loops, so each loop count is
+    # contracted on its own.
+    t = vl.parse_tangle("x v1 a b c d\nleg 1 a\nleg 2 b\nleg 3 c\nleg 4 d")
+    swapped = vl.relabel_legs(t, {1: 3, 2: 4, 3: 1, 4: 2})
+    turned = vl.relabel_legs(t, {1: 2, 2: 3, 3: 4, 4: 1})
+    looped = [vl.Tangle(u.num_vertices, u.arity, u.edges, loops) for u in (t, turned) for loops in (1, 2)]
+    basis = (t, swapped, turned, *looped)
+    monkeypatch.setattr(vlink.characterize, "_basis", lambda arity, max_vertices: basis)
+    model = vl.random_model(2, np.random.default_rng(74), real=True)
+    assert len(_programs(basis[:3], 2)) == 1 and len(_programs(basis, 2)) == 3
+    _, rows, gram = vlink.characterize._basis_gram(model, 4, 1)
+    want = np.array([vl.tangle_tensor(model, u).values.ravel() for u in basis])
+    assert rows.tobytes() == want.tobytes()
+    assert gram.tobytes() == (want @ want.T).tobytes()
+    assert np.array_equal(rows[3], 2 * rows[0]) and np.array_equal(rows[4], 4 * rows[0])
+    assert not np.array_equal(rows[0], rows[2])
+
+
 @pytest.fixture
 def empty_basis_cache():
     """An empty basis cache, emptied again afterwards."""
@@ -305,6 +370,7 @@ import os, resource
 import numpy as np
 import vlink as vl
 import vlink.characterize
+import vlink.model
 model = vl.random_model(2, np.random.default_rng(67), real=True)
 vl.gram_psd(model, max_vertices=1)  # BLAS takes its buffers before the cap
 basis = vlink.characterize._basis(4, 2)

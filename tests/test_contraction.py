@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -618,3 +619,22 @@ def test_eval_runs_leave_no_plans_or_tangles(tmp_path, capsys):
         assert vlink.cli.main(["eval", "--model", str(model), path]) == 0
     capsys.readouterr()
     assert alive() <= before
+
+
+@pytest.mark.parametrize("n", [None, 0, -2, 2.0, "2", [2]])
+def test_a_state_count_that_is_no_integer_of_at_least_one_is_refused(n):
+    # Checked when a plan is made: a ValueError naming n, nothing counted and
+    # nothing kept on the tangle, on a tangle with merges and on one without.
+    for t in (vl.strand_tangle(), _chain_diagram(3)):
+        misses = vl.plan_cache_info().misses
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 1, got {n!r}")):
+            plan_contraction(t, n)
+        assert vl.plan_cache_info().misses == misses
+        assert "_plans" not in vars(t)
+
+
+def test_numpy_integer_state_counts_share_the_plan_of_their_int():
+    t = _chain_diagram(3)
+    plan = plan_contraction(t, np.int64(2))
+    assert list(t._plans) == [2] and type(next(iter(t._plans))) is int
+    assert plan_contraction(t, 2) is plan and plan_contraction(t, np.int32(2)) is plan

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -615,3 +616,16 @@ def test_cached_model_entries_stay_read_only(tmp_path):
         with pytest.raises(ValueError):
             model.entries[0, 0, 0, 0] = 0.0
     assert vl.load_model(path).entries[0, 0, 0, 0] == 4.5
+
+
+@pytest.mark.parametrize("n", [None, 0, -2, 2.0, "2"])
+def test_vertex_model_state_count_must_be_an_integer_of_at_least_one(n):
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 1, got {n!r}")):
+        vl.VertexModel(n, np.zeros((2, 2, 2, 2)))
+
+
+def test_vertex_model_takes_numpy_integer_state_counts_as_int():
+    model = vl.VertexModel(np.int64(2), vl.transmission_model(2).entries)
+    assert type(model.n) is int and model.n == 2
+    kink = vl.parse_tangle("x v1 a b a b")
+    assert vl.partition_function(model, kink) == vl.partition_function(vl.transmission_model(2), kink)
