@@ -54,9 +54,7 @@ __all__ = [
 COEFF_PRUNE_TOL = 1e-14
 
 #: ``det_tangle(m)`` has m! terms; refuse beyond this bound.  It is also
-#: how many combinations ``det_tangle`` keeps, least recently used first
-#: out; one above the bound, asked for with a larger ``max_m``, is kept too
-#: (m = 7 holds 5,040 terms in about 11 MiB).
+#: how many combinations ``det_tangle`` keeps: one for every allowed m.
 DET_ARITY_BOUND = 6
 
 
@@ -244,7 +242,7 @@ def _parity_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-def det_tangle(m: int, max_m: int = DET_ARITY_BOUND) -> QuantumTangle:
+def det_tangle(m: int) -> QuantumTangle:
     """Signed sum of all permutation matchings: sum_perm sgn(perm) T_perm.
 
     A 2m-tangle combination with m! terms.  Gluing it to any 2m-tangle with
@@ -252,8 +250,10 @@ def det_tangle(m: int, max_m: int = DET_ARITY_BOUND) -> QuantumTangle:
     """
     if m < 1:
         raise ValueError("det_tangle needs m >= 1")
-    if m > max_m:
-        raise ValueError(f"det_tangle(m={m}) would have {m}! terms, above the bound m <= {max_m}")
+    if m > DET_ARITY_BOUND:
+        raise ValueError(
+            f"det_tangle(m={m}) would have {m}! terms, above the bound m <= {DET_ARITY_BOUND}"
+        )
     return _det_tangle(m)
 
 

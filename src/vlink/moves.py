@@ -142,7 +142,6 @@ MOVE_KINDS = ("R1+", "R1-", "R2+", "R2-", "R3")
 
 # Built once: tangles are immutable, so every rewrite shares them.
 _KINK = build_tangle(1, [((LEG, 1), (0, 0)), ((0, 1), (0, 2)), ((0, 3), (LEG, 2))])
-_CLOSED_KINK = build_tangle(1, [((0, 0), (0, 3)), ((0, 1), (0, 2))])
 _STRAND = strand_tangle()
 _CROSSING_PAIR = build_tangle(
     2,
@@ -190,6 +189,7 @@ _BRAID_RIGHT = build_tangle(
 #: direction +1 rewrite the pattern into the replacement, R1+, R2+ and R3
 #: direction -1 the replacement into the pattern.
 _MOVES = {1: (_KINK, _STRAND), 2: (_CROSSING_PAIR, _PARALLEL), 3: (_BRAID_LEFT, _BRAID_RIGHT)}
+_CLOSED_KINK = glue(*_MOVES[1])  # R1+ glues it in at a vertexless loop
 
 #: Each pattern split once: its internal edges (no leg end), and its edges
 #: with a leg end in sorted order, each read as (leg, other end).

@@ -111,6 +111,8 @@ def test_qt_zero_and_of():
     one = QuantumTangle.of(vl.loop_diagram(1))
     assert len(one) == 1
     assert one.coefficient(vl.loop_diagram(1)) == 1.0
+    absent = one.coefficient(vl.loop_diagram(2))
+    assert (type(absent), absent) == (complex, 0j)
 
 
 def test_qt_merges_isomorphic_terms():
@@ -187,6 +189,12 @@ def test_permutation_matching_identity():
     )
 
 
+def test_permutation_matching_refuses_a_non_permutation():
+    for perm in ((0, 0), (1, 2), (0, 1, 3)):
+        with pytest.raises(ValueError, match=r"not a permutation of 0\.\.\d: "):
+            vl.permutation_matching(perm)
+
+
 def test_det_tangle_term_count_and_signs():
     d2 = vl.det_tangle(2)
     assert len(d2) == 2
@@ -202,7 +210,7 @@ def test_det_tangle_term_count_and_signs():
 def test_det_tangle_arity_bound():
     with pytest.raises(ValueError):
         vl.det_tangle(7)
-    assert len(vl.det_tangle(6, max_m=6)) == 720
+    assert len(vl.det_tangle(6)) == 720
 
 
 def test_det_tangle_alternates_under_leg_swap():
@@ -247,15 +255,13 @@ def test_det_tangle_matches_the_uncached_builder():
 
 
 def test_det_tangle_checks_its_bounds_on_every_call():
-    vl.det_tangle(4)  # cached, yet a lower bound still refuses it
+    vl.det_tangle(4)
     for _ in range(2):
         for m in (0, -1):
             with pytest.raises(ValueError, match="det_tangle needs m >= 1"):
                 vl.det_tangle(m)
         with pytest.raises(ValueError, match=r"det_tangle\(m=7\) would have 7! terms, above the bound m <= 6"):
             vl.det_tangle(7)
-        with pytest.raises(ValueError, match=r"det_tangle\(m=4\) would have 4! terms, above the bound m <= 3"):
-            vl.det_tangle(4, max_m=3)
     assert vl.det_tangle(4) == reference_det_tangle(4)
 
 
@@ -277,6 +283,12 @@ def test_tangle_derivative_structure():
 
 def test_tangle_derivative_empty_for_vertexless():
     assert vl.tangle_derivative(vl.loop_diagram(2)) == QuantumTangle.zero()
+
+
+def test_tangle_derivative_refuses_a_tangle_with_legs():
+    open_kink = vl.parse_tangle("x v1 a b b c\nleg 1 a\nleg 2 c")
+    with pytest.raises(ValueError, match=r"tangle_derivative is defined for diagrams \(arity 0\) only"):
+        vl.tangle_derivative(open_kink)
 
 
 def test_tangle_derivative_matches_reference():
@@ -331,3 +343,8 @@ def test_load_quantum_tangle_errors(tmp_path):
     manifest.write_text("add 1 0 x.vld\n")
     with pytest.raises(ValueError, match="term"):
         vl.load_quantum_tangle(str(manifest))
+    for line in ("term one 0 x.vld", "term 1 0j x.vld"):
+        manifest.write_text(f"{line}\n")
+        with pytest.raises(vl.VldError, match="coefficient parts must be numbers") as info:
+            vl.load_quantum_tangle(str(manifest))
+        assert (info.value.source, info.value.line) == (str(manifest), 1)

@@ -178,6 +178,42 @@ def test_kernel_probe_rejects_empty_or_negative_probes():
         vl.kernel_probe(model, samples=5, max_vertices=-1, rng=rng)
 
 
+def test_kernel_probe_fails_when_its_control_vanishes():
+    # The zero model kills every gluing with a vertex in it, and on these
+    # draws the control reads 0 too, so the zero residuals show nothing.
+    model = vl.VertexModel(2, np.zeros((2, 2, 2, 2)))
+    report = vl.kernel_probe(model, samples=5, max_vertices=2, rng=np.random.default_rng(0))
+    assert (report.max_scaled_residual, report.negative_control) == (0.0, 0.0)
+    assert not report.passed()
+    assert not report.passed(tol=1.0)
+
+
+def _written_out_kernel_probe(model, samples, max_vertices, rng):
+    """`kernel_probe` as two loops: the residual tangles are drawn from
+    ``rng`` first, then the control tangles."""
+    residuals, scaled = [], []
+    for _ in range(samples):
+        v = int(rng.integers(max_vertices + 1))
+        residuals.append(vl.kernel_residual(model, vl.random_tangle(rng, 2 * (model.n + 1), v)))
+        scaled.append(residuals[-1] / (1.0 + model.norm**v))
+    control = 0.0
+    for _ in range(samples):
+        v = int(rng.integers(max_vertices + 1))
+        t = vl.random_tangle(rng, 2 * model.n, v)
+        value = vl.qt_evaluate(model, vl.qt_glue(vl.det_tangle(model.n), vl.QuantumTangle.of(t)))
+        control = max(control, abs(value))
+    return vl.KernelReport(model.n, tuple(residuals), max(scaled), control)
+
+
+def test_kernel_probe_matches_its_draws_written_out():
+    for n in (1, 2):
+        for seed in range(20):
+            model = vl.random_model(n, np.random.default_rng(seed))
+            got = vl.kernel_probe(model, 8, 2, np.random.default_rng(seed))
+            expected = _written_out_kernel_probe(model, 8, 2, np.random.default_rng(seed))
+            assert got == expected, (n, seed)
+
+
 def test_kernel_probe_deterministic():
     def run():
         rng = np.random.default_rng(35)

@@ -362,15 +362,19 @@ def test_gram_outputs_matrix_and_eigenvalue(workdir, capsys):
     assert err.startswith("min_eigenvalue ")
 
 
-def test_gram_and_random_refuse_format(workdir, capsys):
-    # Neither reads --format, so neither accepts it.
-    for argv in (
-        ["gram", "--model", workdir / "real.json", "--format", "json-lines"],
-        ["random", "--kind", "model", "--format", "csv"],
+def test_subcommands_refuse_flags_they_do_not_read(workdir, capsys):
+    # gram and random never read --format, and eval, enumerate and random
+    # never read --tol, so none of them accepts the flag it does not read.
+    for argv, flag in (
+        (["gram", "--model", workdir / "real.json", "--format", "json-lines"], "--format"),
+        (["random", "--kind", "model", "--format", "csv"], "--format"),
+        (["eval", "--model", workdir / "knots.json", "--tol", "1e-6", workdir / "loop.vld"], "--tol"),
+        (["enumerate", "--k", "2", "--tol", "1"], "--tol"),
+        (["random", "--kind", "model", "--tol", "1"], "--tol"),
     ):
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert "unrecognized arguments: --format" in err
+        assert (code, out) == (1, ""), argv
+        assert f"unrecognized arguments: {flag}" in err, argv
 
 
 def test_gram_complex_model_is_input_error(workdir, capsys):
@@ -554,7 +558,7 @@ def test_parser_reuse_matches_fresh_processes(workdir, capsys, monkeypatch):
         ["enumerate", "--k", "2", "--max-vertices", "1"],
         ["random", "--kind", "model", "--seed", "3", "--real"],
         ["eval", "--model", workdir / "knots.json", "--format", "json-lines",
-         "--tol", "1e-6", workdir / "open.vld"],
+         workdir / "open.vld"],
     ]
     codes = []
     for argv in sequence:

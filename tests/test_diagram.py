@@ -175,6 +175,8 @@ def test_parse_empty_text_is_empty_diagram():
         ("leg 1 a\nleg 1 b", "duplicate leg label"),
         ("leg 0 a", "start at 1"),
         ("leg one a", "not an integer"),
+        ("x v1 a b a b\nleg 1", "expected: leg <label> <edge-id>"),
+        ("x v1 a b a b\nleg 1 a b", "expected: leg <label> <edge-id>"),
         ("spin v1 a b c d", "unknown directive"),
         ("x v1 a a a b\nleg 1 b", "occurs 3 time"),
         ("x v1 a b c d\nx v2 a b c d\nleg 1 e", "occurs 1 time"),
@@ -230,6 +232,11 @@ def test_knot_components_known_values():
     assert vl.knot_components(vl.parse_tangle("x v1 a b a b")) == 2
     assert vl.knot_components(vl.parse_tangle("x v1 a b b a")) == 1
     assert vl.knot_components(vl.parse_tangle("loops 1\nx v1 a b a b")) == 3
+
+
+def test_knot_components_refuses_a_tangle_with_legs():
+    with pytest.raises(ValueError, match=r"knot_components is defined for diagrams \(arity 0\) only"):
+        vl.knot_components(vl.strand_tangle())
 
 
 def test_knot_components_matches_dfs_oracle(corpus):

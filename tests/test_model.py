@@ -50,6 +50,12 @@ def test_vertex_model_rejects_non_finite_entries():
             vl.VertexModel(2, raw)
 
 
+def test_symmetrize_refuses_arrays_not_n_by_n_by_n_by_n():
+    for shape in ((2, 2, 2), (2, 2, 3, 3), (2,) * 5):
+        with pytest.raises(ValueError, match=re.escape(f"expected shape (n, n, n, n), got {shape}")):
+            vl.symmetrize(np.zeros(shape))
+
+
 def test_symmetrize_is_idempotent():
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((3,) * 4) + 1j * rng.standard_normal((3,) * 4)
@@ -100,6 +106,9 @@ def test_strand_product_traces():
     assert vl.partition_function(model, vl.parse_tangle("x v1 a b b a")) == 5.0
     with pytest.raises(ValueError, match="symmetric"):
         vl.strand_product_model(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for a in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="need a square matrix"):
+            vl.strand_product_model(a)
 
 
 def test_basic_normalizations():
@@ -244,6 +253,12 @@ def test_qt_evaluate_rejects_mixed_arities():
     )
     with pytest.raises(ValueError, match="mixed arities"):
         vl.qt_evaluate(vl.transmission_model(2), mixed)
+
+
+def test_tangle_tensor_values_must_have_shape_n_to_the_arity():
+    for arity, n, shape in ((2, 2, (2, 3)), (2, 2, (4,)), (0, 2, (1,)), (1, 3, (2,))):
+        with pytest.raises(ValueError, match=re.escape(f"values must have shape {(n,) * arity}")):
+            vl.TangleTensor(arity, n, np.zeros(shape))
 
 
 def test_pair_is_bilinear_without_conjugation():

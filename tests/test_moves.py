@@ -182,6 +182,17 @@ def test_unknown_kind_rejected():
         vl.enumerate_move_sites(vl.loop_diagram(1), "R4")
     with pytest.raises(ValueError):
         vl.enumerate_move_sites(vl.strand_tangle(), "R1+")
+    with pytest.raises(ValueError, match="unknown move kind 'R4'"):
+        vl.apply_move(vl.loop_diagram(1), vl.MoveSite("R4", ("loop",)))
+
+
+def test_moves_refuse_a_tangle_with_legs():
+    # An open kink: it carries an R1- site as a diagram would.
+    open_kink = vl.parse_tangle("x v1 a b b c\nleg 1 a\nleg 2 c")
+    with pytest.raises(ValueError, match=r"moves apply to diagrams \(arity 0\) only"):
+        vl.apply_move(open_kink, vl.MoveSite("R1-", (0,)))
+    with pytest.raises(ValueError, match=r"move sites are enumerated on diagrams \(arity 0\) only"):
+        vl.random_move(open_kink, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +477,24 @@ def test_witness_found_for_failing_model(corpus):
         vl.partition_function(model, moved) - vl.partition_function(model, g)
     )
     assert abs(change - delta) < 1e-12
+
+
+def test_no_witness_once_every_site_is_checked(monkeypatch):
+    # 2^knots is move-invariant, and the kink diagram has fewer sites than
+    # max_checks: every site is rewritten and evaluated, then None.
+    g = vl.parse_tangle("x v1 a b b a")
+    sites = _all_sites(g)
+    assert 1 < len(sites) < 2000
+    applied = []
+    original = vl.moves.apply_move
+
+    def counting(g, site):
+        applied.append(site)
+        return original(g, site)
+
+    monkeypatch.setattr(vl.moves, "apply_move", counting)
+    assert vl.find_move_witness(vl.knot_counting_model(), [g]) is None
+    assert applied == sites
 
 
 def test_no_witness_for_knot_counting_model(corpus):
