@@ -335,37 +335,32 @@ def _rank(a: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(sv >= rel_tol * top))
 
 
-def gram_psd(model: VertexModel, max_vertices: int, arity: int = 4) -> GramReport:
-    """Gram matrix of glued basis pairs for a real model; PSD if the model's
-    tensors are honest real partition-function data.
+def gram_psd(model: VertexModel, max_vertices: int) -> GramReport:
+    """Gram matrix of glued 4-tangle basis pairs for a real model; PSD if the
+    model's tensors are honest real partition-function data.
 
     Entries are pair(f(T), f(T')), equal to f(T . T') by the pairing
     identity.
     """
     if not model.is_real:
         raise ValueError("gram_psd needs a real model")
-    basis, _, gram = _basis_gram(model, arity, max_vertices)
+    basis, _, gram = _basis_gram(model, 4, max_vertices)
     herm = float(np.max(np.abs(gram.imag)))
     sym = (gram.real + gram.real.T) / 2.0
     eigs = np.linalg.eigvalsh(sym)
     return GramReport(basis, gram, float(eigs.min()), herm)
 
 
-def nondegeneracy_probe(
-    model: VertexModel,
-    arity: int,
-    max_vertices: int,
-    rank_tol: float = 1e-8,
-) -> tuple[int, int]:
+def nondegeneracy_probe(model: VertexModel, arity: int, max_vertices: int) -> tuple[int, int]:
     """(gram_rank, span_rank) over the enumerated basis.
 
-    Ranks count singular values at or above ``rank_tol`` times the largest.
+    Ranks count singular values at or above 1e-8 times the largest.
     Equality certifies the pairing is nondegenerate on the span; real models
     always pass, while complex models can drop Gram rank on isotropic
     directions.
     """
     _, rows, gram = _basis_gram(model, arity, max_vertices)
-    return _rank(gram, rank_tol), _rank(rows, rank_tol)
+    return _rank(gram, 1e-8), _rank(rows, 1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -183,11 +183,9 @@ def loop_diagram(count: int = 1) -> Tangle:
     return Tangle(0, 0, frozenset(), count)
 
 
-def strand_tangle(a: int = 1, b: int = 2) -> Tangle:
-    """The 2-tangle that is a single edge joining legs ``a`` and ``b``."""
-    if a == b:
-        raise ValueError("a strand needs two distinct leg labels")
-    return build_tangle(0, [((LEG, a), (LEG, b))])
+def strand_tangle() -> Tangle:
+    """The 2-tangle that is a single edge joining legs 1 and 2."""
+    return build_tangle(0, [((LEG, 1), (LEG, 2))])
 
 
 # ---------------------------------------------------------------------------

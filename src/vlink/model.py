@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,8 +137,7 @@ def transmission_model(n: int) -> VertexModel:
     Counts colorings constant on knots, so f_R(G) = n^knots; satisfies all
     three move conditions exactly.
     """
-    eye = np.eye(n)
-    return VertexModel(n, np.einsum("ik,jl->ijkl", eye, eye))
+    return strand_product_model(np.eye(n))
 
 
 def strand_product_model(a: np.ndarray) -> VertexModel:
@@ -168,6 +166,7 @@ def knot_counting_model() -> VertexModel:
 
 def random_model(n: int, rng: np.random.Generator, real: bool = False) -> VertexModel:
     """Swap-symmetrized standard-normal model."""
+    n = _state_count(n)
     raw = rng.standard_normal((n,) * 4)
     if not real:
         raw = raw + 1j * rng.standard_normal((n,) * 4)
@@ -187,33 +186,20 @@ def cayley_orthogonal(a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye + a, eye - a)
 
 
-def random_orthogonal(
-    n: int,
-    rng: np.random.Generator,
-    real: bool = False,
-    max_norm: float | None = None,
-) -> np.ndarray:
+def random_orthogonal(n: int, rng: np.random.Generator, real: bool = False) -> np.ndarray:
     """Random orthogonal matrix: QR-based when real, Cayley-based otherwise.
 
     The complex orthogonal group is unbounded, and an ill-conditioned
     transform amplifies round-off in every contraction it touches, so
-    complex draws are rejected until |U|_F <= max_norm (default 3n).  No
-    complex draw has |U|_F <= sqrt(n), so a smaller max_norm is a
-    ValueError.
+    complex draws are rejected until |U|_F <= 3n.
     """
     if real:
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
         return q * np.where(np.diag(r) >= 0, 1.0, -1.0)
-    bound = 3.0 * n if max_norm is None else max_norm
-    if not bound > math.sqrt(n):
-        raise ValueError(
-            f"max_norm must exceed sqrt(n) = {math.sqrt(n):.6g}: a complex orthogonal"
-            f" {n} x {n} matrix has Frobenius norm at least that, got {bound}"
-        )
     while True:
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         u = cayley_orthogonal(0.3 * (raw - raw.T))
-        if float(np.linalg.norm(u)) <= bound:
+        if float(np.linalg.norm(u)) <= 3.0 * n:
             return u
 
 

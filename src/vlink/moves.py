@@ -430,15 +430,13 @@ def random_move(g: Tangle, rng: np.random.Generator) -> tuple[MoveSite, Tangle]:
 
 
 def find_move_witness(
-    model: VertexModel,
-    diagrams: list[Tangle],
-    threshold: float = 1e-6,
-    max_checks: int = 2000,
+    model: VertexModel, diagrams: list[Tangle]
 ) -> tuple[Tangle, MoveSite, float] | None:
     """Search for one move application changing the partition function.
 
     Scans every site of every kind over the given diagrams until the change
-    exceeds ``threshold``; returns None if all checked moves preserve f.
+    exceeds 1e-6; returns None if the first 2,000 moves, or all of them if
+    fewer, preserve f.
     """
     checked = 0
     for g in diagrams:
@@ -446,9 +444,9 @@ def find_move_witness(
         for kind in MOVE_KINDS:
             for site in enumerate_move_sites(g, kind):
                 delta = abs(partition_function(model, apply_move(g, site)) - f_before)
-                if delta > threshold:
+                if delta > 1e-6:
                     return g, site, delta
                 checked += 1
-                if checked >= max_checks:
+                if checked >= 2000:
                     return None
     return None

@@ -342,14 +342,15 @@ def empty_basis_cache():
 @pytest.mark.parametrize("seed, real", [(60, True), (61, True), (62, False), (63, False)])
 def test_cached_bases_give_the_grams_of_a_fresh_enumeration(empty_basis_cache, seed, real):
     # Each size twice (a miss, then a hit), after sizes sharing its arity or
-    # its vertex bound: the same Gram bits and ranks as a fresh basis.
+    # its vertex bound: the same ranks as a fresh basis, and at arity 4, the
+    # one `gram_psd` takes, the same Gram bits.
     model = vl.random_model(2, np.random.default_rng(seed), real=real)
     for arity, max_vertices in [(2, 0), (2, 1), (4, 1), (0, 1), (0, 2)] * 2:
         fresh = vl.enumerate_tangles(arity, max_vertices)
         rows = np.array([vl.tangle_tensor(model, t).values.ravel() for t in fresh])
         gram = rows @ rows.T
-        if real:
-            report = vl.gram_psd(model, max_vertices, arity)
+        if real and arity == 4:
+            report = vl.gram_psd(model, max_vertices)
             assert report.basis == tuple(fresh)
             assert report.gram.tobytes() == gram.tobytes(), (arity, max_vertices)
         ranks = vl.nondegeneracy_probe(model, arity, max_vertices)

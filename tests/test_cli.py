@@ -336,6 +336,14 @@ def test_kernel_empty_or_negative_probe_is_input_error(capsys, argv, message):
     assert err == f"vlink: error: {message}\n"
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+@pytest.mark.parametrize("argv", [["kernel"], ["random", "--kind", "model"]])
+def test_random_models_check_the_state_count_before_drawing(capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--n", n)
+    assert (code, out) == (1, "")
+    assert err == f"vlink: error: state count n must be an integer >= 1, got {n}\n"
+
+
 def test_kernel_zero_model_fails_control(workdir, capsys):
     path = workdir / "zero.json"
     path.write_text(json.dumps({"n": 2, "entries": []}))

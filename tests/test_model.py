@@ -144,22 +144,6 @@ def test_random_orthogonal_complex_cayley():
         assert np.linalg.norm(u.T @ u - np.eye(3)) < 1e-10
 
 
-def test_random_orthogonal_rejects_a_norm_no_complex_draw_meets(monkeypatch):
-    # Every complex orthogonal n x n matrix has |U|_F >= sqrt(n), so such a
-    # bound is refused before any draw instead of rejecting draws forever.
-    def cayley(a):
-        raise AssertionError("drew a matrix for an unreachable max_norm")
-
-    rng = np.random.default_rng(0)
-    with monkeypatch.context() as patch:
-        patch.setattr(vl.model, "cayley_orthogonal", cayley)
-        for n, max_norm in ((2, 1.0), (2, 2**0.5), (3, 0.0), (1, 1.0)):
-            with pytest.raises(ValueError, match="max_norm must exceed sqrt"):
-                vl.random_orthogonal(n, rng, max_norm=max_norm)
-    u = vl.random_orthogonal(2, rng, max_norm=1.6)
-    assert np.linalg.norm(u) <= 1.6 and np.linalg.norm(u.T @ u - np.eye(2)) < 1e-10
-
-
 def test_cayley_orthogonal_validates():
     with pytest.raises(ValueError, match="antisymmetric"):
         vl.cayley_orthogonal(np.eye(2))

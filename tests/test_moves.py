@@ -479,12 +479,8 @@ def test_witness_found_for_failing_model(corpus):
     assert abs(change - delta) < 1e-12
 
 
-def test_no_witness_once_every_site_is_checked(monkeypatch):
-    # 2^knots is move-invariant, and the kink diagram has fewer sites than
-    # max_checks: every site is rewritten and evaluated, then None.
-    g = vl.parse_tangle("x v1 a b b a")
-    sites = _all_sites(g)
-    assert 1 < len(sites) < 2000
+def _record_rewrites(monkeypatch) -> list[vl.MoveSite]:
+    """The sites `find_move_witness` rewrites, in order."""
     applied = []
     original = vl.moves.apply_move
 
@@ -493,12 +489,34 @@ def test_no_witness_once_every_site_is_checked(monkeypatch):
         return original(g, site)
 
     monkeypatch.setattr(vl.moves, "apply_move", counting)
+    return applied
+
+
+def test_no_witness_once_every_site_is_checked(monkeypatch):
+    # 2^knots is move-invariant, and the kink diagram has fewer sites than
+    # the 2,000 checks the search allows: every site is rewritten and
+    # evaluated, then None.
+    g = vl.parse_tangle("x v1 a b b a")
+    sites = _all_sites(g)
+    assert 1 < len(sites) < 2000
+    applied = _record_rewrites(monkeypatch)
     assert vl.find_move_witness(vl.knot_counting_model(), [g]) is None
     assert applied == sites
+
+
+def test_witness_search_stops_after_2000_checks(monkeypatch):
+    # 401 kink diagrams hold 2,005 sites, none changing 2^knots: the search
+    # gives up after the first 2,000 rewrites instead of checking them all.
+    g = vl.parse_tangle("x v1 a b b a")
+    sites = _all_sites(g) * 401
+    assert len(sites) > 2000
+    applied = _record_rewrites(monkeypatch)
+    assert vl.find_move_witness(vl.knot_counting_model(), [g] * 401) is None
+    assert applied == sites[:2000]
 
 
 def test_no_witness_for_knot_counting_model(corpus):
     # 2^knots is move-invariant even though the model fails the conditions:
     # closed-diagram invariance is strictly weaker than the tensor conditions.
     model = vl.knot_counting_model()
-    assert vl.find_move_witness(model, corpus[:6], max_checks=400) is None
+    assert vl.find_move_witness(model, corpus[:6]) is None
