@@ -31,19 +31,25 @@ A basis depends on (arity, max_vertices) alone, so `gram_psd` and
 (`basis_cache_info` reports it); `enumerate_tangles` itself builds a new
 list on every call and keeps nothing.  A cached basis holds about 1 KB per
 tangle (10.1 MiB at (12, 0), 10,395 tangles; 6.5 MiB at (0, 4), 6,584),
-less than the 16 |B|^2 bytes of its Gram once |B| exceeds 64.  The Gram
-is allocated before any row is evaluated, so one that cannot be allocated
-fails once the basis is enumerated.  Rows or a Gram that cannot be
-allocated empty the cache, so no basis too large to use stays behind.
+less than the 16 |B|^2 bytes of its Gram once |B| exceeds 64.  A Gram of
+more than `GRAM_BYTES_BOUND` bytes is refused with a ValueError once the
+basis is enumerated, and the Gram is allocated before any row is
+evaluated, so one that cannot be allocated fails there too.  A refused
+Gram, or rows or a Gram that cannot be allocated, empty the cache, so no
+basis too large to use stays behind.
 
 A basis is mostly leg relabellings of a few interior shapes, and the plans
 of such tangles at n compile to one program (`execute_plan`'s initial
-nodes and merges) that differs only in the final leg transpose.  So the
-rows are filled by program: the first tangle of each (loop count,
-program) is evaluated by `tangle_tensor`, and every later one copies that
-row with its axes permuted, the same bits its own contraction would give.
-At n=2, (4, 1) has 60 tangles and 10 programs, (4, 2) 1,470 and 235,
-(6, 1) 510 and 10, (6, 2) 18,270 and 253.
+nodes and merges) that differs only in the final leg transpose.  So a
+basis keeps, per n, a program table made at its first Gram at n: the
+first tangle of each (loop count, program) with its plan, and for every
+tangle its program and where each of its legs sits in that program's
+tensor.  That is O(|B| k) integers.  A Gram contracts only the first
+tangles, by the plans in the table, and gathers every row from their
+tensors in one `np.take`, without a plan lookup or a program hash: the
+same bits each tangle's own contraction would give.  At n=2, (4, 1) has
+60 tangles and 10 programs, (4, 2) 1,470 and 235, (6, 1) 510 and 10,
+(6, 2) 18,270 and 253.  The tables go when their basis leaves the cache.
 """
 
 from __future__ import annotations
@@ -53,26 +59,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    QuantumTangle,
-    det_tangle,
-    qt_glue,
-    tangle_derivative,
-)
-from .contraction import plan_contraction
+from .algebra import _from_items, det_tangle, glue, tangle_derivative
+from .contraction import ContractionPlan, plan_contraction
 from .diagram import LEG, CacheInfo, Endpoint, Tangle, build_tangle, canonical_key
 from .model import (
     TangleTensor,
     VertexModel,
+    _contract,
     pair,
     partition_function,
     qt_evaluate,
-    tangle_tensor,
 )
 
 __all__ = [
     "BASIS_CACHE_BOUND",
     "ENUMERATION_ENDPOINT_BUDGET",
+    "GRAM_BYTES_BOUND",
     "basis_cache_info",
     "enumerate_tangles",
     "random_tangle",
@@ -91,6 +93,11 @@ ENUMERATION_ENDPOINT_BUDGET = 16
 #: Most enumerated bases `gram_psd` and `nondegeneracy_probe` keep, keyed
 #: by (arity, max_vertices), least recently used first out.
 BASIS_CACHE_BOUND = 8
+
+#: Most bytes of a Gram matrix (16 |B|^2 for a basis B) that `gram_psd` and
+#: `nondegeneracy_probe` allocate; a larger one is refused once the basis
+#: is enumerated.
+GRAM_BYTES_BOUND = 1 << 30
 
 
 def _candidates(k: int, max_vertices: int) -> list[Tangle]:
@@ -209,8 +216,11 @@ def random_tangle(
 
 
 def _det_glued(model: VertexModel, m: int, t: Tangle) -> float:
-    """|f_R(det(m) . t)| for a 2m-tangle t."""
-    return abs(qt_evaluate(model, qt_glue(det_tangle(m), QuantumTangle.of(t))))
+    """|f_R(det(m) . t)| for a 2m-tangle t.  Each term of det(m) is glued to
+    t directly and the products are combined as `qt_glue` combines them, so
+    t itself is never keyed; its coefficient in ``QuantumTangle.of(t)``
+    would be 1, which leaves each product's ±1 unchanged."""
+    return abs(qt_evaluate(model, _from_items((glue(u, t), c) for u, c in det_tangle(m))))
 
 
 def kernel_residual(model: VertexModel, t: Tangle) -> float:
@@ -243,18 +253,22 @@ def kernel_probe(
 ) -> KernelReport:
     """Evaluate kernel residuals on random tangles, with a negative control.
 
-    Residuals are scaled by 1 + |R|^v.  The control glues the determinant
-    tangle on 2n legs (one size too small) to random 2n-tangles and records
-    the largest magnitude, which should be far from zero.
+    Residuals are scaled by 1 + |R|^v, for random tangles of 0 to
+    ``max_vertices`` vertices.  The control glues the determinant tangle on
+    2n legs (one size too small) to random 2n-tangles and records the
+    largest magnitude, which should be far from zero.  Control tangles have
+    1 to max(1, ``max_vertices``) vertices: glued to a vertex-free one,
+    det(n) gives a signed sum of powers of n whatever R is, so a model that
+    vanishes everywhere would still pass.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if max_vertices < 0:
         raise ValueError(f"max_vertices must be nonnegative, got {max_vertices}")
     drawn = []  # (v, |f_R(det(m) . t)|) for random 2m-tangles t, m = n + 1 first
-    for m in (model.n + 1, model.n):
+    for m, fewest in ((model.n + 1, 0), (model.n, 1)):
         for _ in range(samples):
-            v = int(rng.integers(max_vertices + 1))
+            v = int(rng.integers(fewest, max(fewest, max_vertices) + 1))
             drawn.append((v, _det_glued(model, m, random_tangle(rng, 2 * m, v))))
     kernel = drawn[:samples]
     control = max(0.0, *(value for _, value in drawn[samples:]))
@@ -286,42 +300,87 @@ def basis_cache_info() -> CacheInfo:
     return CacheInfo.of(_basis)
 
 
+class _Programs:
+    """A basis's program table at one n (see the module docstring): each
+    program's first tangle with its plan, and per basis tangle the flat
+    offset of its program's tensor and the flat stride of each of its legs
+    in it.  That is O(|B| k) integers, never O(|B| n^k)."""
+
+    def __init__(self, basis: tuple[Tangle, ...], arity: int, n: int) -> None:
+        self.firsts: list[tuple[Tangle, ContractionPlan]] = []
+        known: dict[tuple, int] = {}  # program -> its index in self.firsts
+        inverses = []  # per program, the inverse of its first tangle's leg transpose
+        program = np.empty(len(basis), dtype=np.intp)
+        axes = np.empty((len(basis), arity), dtype=np.intp)
+        for i, t in enumerate(basis):
+            plan = plan_contraction(t, n)
+            c = plan.compiled
+            p = known.setdefault((t.loop_count, c.num_vertices, c.init, c.steps), len(self.firsts))
+            if p == len(self.firsts):
+                self.firsts.append((t, plan))
+                inverses.append(sorted(range(arity), key=c.transpose.__getitem__))
+            program[i] = p
+            axes[i] = [inverses[p][x] for x in c.transpose]
+        self.offsets = program * n**arity
+        self.strides = n ** (arity - 1 - axes)
+
+    def fill(self, model: VertexModel, rows: np.ndarray) -> None:
+        """Contract each program's first tangle under ``model``, and gather
+        every row from those tensors, its legs in its own order."""
+        n, arity = model.n, self.strides.shape[1]
+        tensors = np.empty((len(self.firsts), n**arity), dtype=complex)
+        for tensor, (t, plan) in zip(tensors, self.firsts):
+            tensor[:] = _contract(model, t, plan).ravel()
+        # digits[:, j]: the leg indices of flat position j, in C order.
+        digits = np.indices((n,) * arity).reshape(arity, n**arity)
+        index = self.offsets[:, None] + self.strides @ digits
+        # Every index is in range; "clip" lets take write into rows unbuffered.
+        np.take(tensors.ravel(), index, out=rows, mode="clip")
+
+
+class _Basis(tuple):
+    """An enumerated basis: a tuple, which no caller can change, that also
+    keeps its program table at each n it was evaluated at, so that the
+    tables go when the basis goes."""
+
+    def __init__(self, tangles) -> None:
+        self.programs: dict[int, _Programs] = {}
+
+
 @functools.lru_cache(maxsize=BASIS_CACHE_BOUND)
-def _basis(arity: int, max_vertices: int) -> tuple[Tangle, ...]:
-    """`enumerate_tangles(arity, max_vertices)` as a tuple, which no caller
-    can change."""
-    return tuple(enumerate_tangles(arity, max_vertices))
+def _basis(arity: int, max_vertices: int) -> _Basis:
+    """`enumerate_tangles(arity, max_vertices)` as a `_Basis`."""
+    return _Basis(enumerate_tangles(arity, max_vertices))
 
 
 def _basis_gram(
     model: VertexModel, arity: int, max_vertices: int
 ) -> tuple[tuple[Tangle, ...], np.ndarray, np.ndarray]:
     """The enumerated basis, its tensors as rows, and their Gram matrix
-    ``rows @ rows.T``.  The basis is never empty, so neither is the matrix."""
+    ``rows @ rows.T``.  The basis is never empty, so neither is the matrix.
+    A Gram above `GRAM_BYTES_BOUND` bytes is a ValueError."""
     basis = _basis(arity, max_vertices)
     n = model.n
-    shape = (n,) * arity
+    nbytes = 16 * len(basis) ** 2
+    if nbytes > GRAM_BYTES_BOUND:
+        _basis.cache_clear()  # keep no basis whose Gram is refused
+        raise ValueError(
+            f"the Gram of {len(basis)} basis tangles (arity {arity}, max_vertices "
+            f"{max_vertices}) needs {nbytes} bytes, above the bound of "
+            f"{GRAM_BYTES_BOUND}"
+        )
     try:
         # The Gram first: one that cannot be allocated fails before any row
-        # is evaluated.
+        # is evaluated or any plan made.
         gram = np.empty((len(basis),) * 2, dtype=complex)
         rows = np.empty((len(basis), n**arity), dtype=complex)
-        # Rows by program (see the module docstring): each program's first
-        # tensor, as a view of its row, and the inverse of the leg transpose
-        # that made it from the program's result.
-        done: dict[tuple, tuple[np.ndarray, list[int]]] = {}
-        for row, t in zip(rows, basis):
-            c = plan_contraction(t, n).compiled
-            program = (t.loop_count, c.num_vertices, c.init, c.steps)
-            if program in done:
-                first, inverse = done[program]
-                row.reshape(shape)[...] = first.transpose([inverse[x] for x in c.transpose])
-            else:
-                row[:] = tangle_tensor(model, t).values.ravel()
-                done[program] = row.reshape(shape), sorted(range(arity), key=c.transpose.__getitem__)
+        programs = basis.programs.get(n)
+        if programs is None:
+            programs = basis.programs[n] = _Programs(basis, arity, n)
+        programs.fill(model, rows)
         return basis, rows, np.matmul(rows, rows.T, out=gram)
     except MemoryError:
-        _basis.cache_clear()  # keep no basis whose Gram does not fit
+        _basis.cache_clear()  # keep no basis, nor its tables, whose Gram does not fit
         raise
 
 

@@ -416,8 +416,12 @@ def knot_components(g: Tangle) -> int:
 #: Most tangles whose keys `canonical_key` keeps, by their fields rather
 #: than the tangles themselves (which would keep their plans alive); the
 #: least recently used goes first, so a long run keying many distinct
-#: tangles holds bounded memory: about 2.6 KB per entry, 10 MiB when full.
-KEY_CACHE_BOUND = 1 << 12
+#: tangles holds bounded memory: about 2.6 KB per entry, 1.3 MiB when full.
+#: Reuse is short-range: nearly every hit is on a tangle of 0-2 vertices or
+#: repeats a key made in the same probe, so over 4,000 seeded
+#: characterization probes 512 entries kept 4,941 of the 5,877 hits that
+#: 4,096 got, in about 9 MiB less memory.
+KEY_CACHE_BOUND = 1 << 9
 
 
 class CacheInfo(NamedTuple):

@@ -1,13 +1,16 @@
+import gc
 import itertools
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import vlink as vl
 import vlink.characterize
+import vlink.diagram
 import vlink.model
 from vlink import LEG
 from vlink.characterize import BASIS_CACHE_BOUND, _candidates, _rank
@@ -178,9 +181,26 @@ def test_kernel_probe_rejects_empty_or_negative_probes():
         vl.kernel_probe(model, samples=5, max_vertices=-1, rng=rng)
 
 
+def test_kernel_residual_never_keys_its_tangle():
+    # det(n+1) is glued to t term by term, so t's key is never made, and the
+    # residual is the bits of gluing det(n+1) to t as a combination.
+    model = vl.random_model(2, np.random.default_rng(38))
+    rng = np.random.default_rng(39)
+    for v in (0, 1, 2, 3):
+        t = vl.random_tangle(rng, 6, v)
+        vlink.diagram._canonical_key.cache_clear()
+        residual = vl.kernel_residual(model, t)
+        misses = vl.key_cache_info().misses
+        vl.canonical_key(t)
+        assert vl.key_cache_info().misses == misses + 1, v
+        combo = vl.qt_glue(vl.det_tangle(3), vl.QuantumTangle.of(t))
+        assert residual == abs(vl.qt_evaluate(model, combo)), v
+
+
 def test_kernel_probe_fails_when_its_control_vanishes():
-    # The zero model kills every gluing with a vertex in it, and on these
-    # draws the control reads 0 too, so the zero residuals show nothing.
+    # The zero model kills every gluing with a vertex in it, and every
+    # control tangle has one, so the control reads 0 too and the zero
+    # residuals show nothing.
     model = vl.VertexModel(2, np.zeros((2, 2, 2, 2)))
     report = vl.kernel_probe(model, samples=5, max_vertices=2, rng=np.random.default_rng(0))
     assert (report.max_scaled_residual, report.negative_control) == (0.0, 0.0)
@@ -189,8 +209,9 @@ def test_kernel_probe_fails_when_its_control_vanishes():
 
 
 def _written_out_kernel_probe(model, samples, max_vertices, rng):
-    """`kernel_probe` as two loops: the residual tangles are drawn from
-    ``rng`` first, then the control tangles."""
+    """`kernel_probe` as two loops: the residual tangles, with 0 to
+    ``max_vertices`` vertices, are drawn from ``rng`` first, then the control
+    tangles, with 1 to max(1, ``max_vertices``)."""
     residuals, scaled = [], []
     for _ in range(samples):
         v = int(rng.integers(max_vertices + 1))
@@ -198,7 +219,7 @@ def _written_out_kernel_probe(model, samples, max_vertices, rng):
         scaled.append(residuals[-1] / (1.0 + model.norm**v))
     control = 0.0
     for _ in range(samples):
-        v = int(rng.integers(max_vertices + 1))
+        v = int(rng.integers(1, max(1, max_vertices) + 1))
         t = vl.random_tangle(rng, 2 * model.n, v)
         value = vl.qt_evaluate(model, vl.qt_glue(vl.det_tangle(model.n), vl.QuantumTangle.of(t)))
         control = max(control, abs(value))
@@ -320,7 +341,7 @@ def test_tangles_of_one_program_with_other_loop_counts_get_rows_of_their_own(mon
     turned = vl.relabel_legs(t, {1: 2, 2: 3, 3: 4, 4: 1})
     looped = [vl.Tangle(u.num_vertices, u.arity, u.edges, loops) for u in (t, turned) for loops in (1, 2)]
     basis = (t, swapped, turned, *looped)
-    monkeypatch.setattr(vlink.characterize, "_basis", lambda arity, max_vertices: basis)
+    monkeypatch.setattr(vlink.characterize, "_basis", lambda arity, max_vertices: vlink.characterize._Basis(basis))
     model = vl.random_model(2, np.random.default_rng(74), real=True)
     assert len(_programs(basis[:3], 2)) == 1 and len(_programs(basis, 2)) == 3
     _, rows, gram = vlink.characterize._basis_gram(model, 4, 1)
@@ -385,13 +406,56 @@ def test_basis_cache_stays_within_its_bound(empty_basis_cache):
     assert vl.basis_cache_info() == (1, len(flood) + 1, BASIS_CACHE_BOUND, BASIS_CACHE_BOUND)
 
 
+def test_a_second_gram_at_one_n_makes_no_plan_lookup(empty_basis_cache):
+    # The first call at (4, 1) and n=2 builds the basis's program table; a
+    # second, under another model, contracts each program's first tangle by
+    # the plan the table holds, and gives the per-tangle bits.
+    vl.gram_psd(vl.random_model(2, np.random.default_rng(77), real=True), max_vertices=1)
+    planned = vl.plan_cache_info()
+    model = vl.random_model(2, np.random.default_rng(78), real=True)
+    report = vl.gram_psd(model, max_vertices=1)
+    assert vl.plan_cache_info() == planned
+    want = np.array([vl.tangle_tensor(model, t).values.ravel() for t in report.basis])
+    assert report.gram.tobytes() == (want @ want.T).tobytes()
+
+
+def test_rows_that_do_not_fit_drop_the_program_table_with_the_basis(empty_basis_cache, monkeypatch):
+    def no_memory(model, t, plan):
+        raise MemoryError
+
+    model = vl.random_model(2, np.random.default_rng(79), real=True)
+    vl.gram_psd(model, max_vertices=1)
+    programs = weakref.ref(vlink.characterize._basis(4, 1).programs[2])
+    monkeypatch.setattr(vlink.characterize, "_contract", no_memory)
+    with pytest.raises(MemoryError):
+        vl.gram_psd(model, max_vertices=1)
+    gc.collect()
+    assert programs() is None
+    assert vl.basis_cache_info().size == 0
+
+
+def test_gram_above_the_byte_bound_is_refused_before_any_plan(empty_basis_cache, monkeypatch):
+    # The (4, 1) Gram of 60 tangles takes 16 * 60**2 = 57,600 bytes.
+    model = vl.random_model(2, np.random.default_rng(80), real=True)
+    monkeypatch.setattr(vlink.characterize, "GRAM_BYTES_BOUND", 57_599)
+    planned = vl.plan_cache_info()
+    with pytest.raises(ValueError, match="the Gram of 60 basis tangles .* needs 57600 bytes"):
+        vl.gram_psd(model, max_vertices=1)
+    with pytest.raises(ValueError, match="needs 57600 bytes, above the bound of 57599"):
+        vl.nondegeneracy_probe(model, 4, max_vertices=1)
+    assert vl.plan_cache_info() == planned
+    assert vl.basis_cache_info().size == 0
+    monkeypatch.setattr(vlink.characterize, "GRAM_BYTES_BOUND", 57_600)
+    assert vl.gram_psd(model, max_vertices=1).gram.shape == (60, 60)
+
+
 def test_basis_whose_gram_does_not_fit_is_dropped(empty_basis_cache, monkeypatch):
-    def no_memory(model, t):
+    def no_memory(model, t, plan):
         raise MemoryError
 
     model = vl.random_model(2, np.random.default_rng(66), real=True)
     vl.gram_psd(model, max_vertices=0)
-    monkeypatch.setattr(vlink.characterize, "tangle_tensor", no_memory)
+    monkeypatch.setattr(vlink.characterize, "_contract", no_memory)
     with pytest.raises(MemoryError):
         vl.gram_psd(model, max_vertices=1)
     assert vl.basis_cache_info().size == 0

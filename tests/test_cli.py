@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import vlink as vl
+import vlink.characterize
 import vlink.cli
 from vlink.cli import _fmt, build_parser, main
 from vlink.contraction import plan_contraction
@@ -345,14 +346,17 @@ def test_random_models_check_the_state_count_before_drawing(capsys, argv, n):
 
 
 def test_kernel_zero_model_fails_control(workdir, capsys):
+    # Every control tangle has a vertex, so the zero model's control is 0:
+    # with vertex-free controls, the 10-sample draws read 2 and passed.
     path = workdir / "zero.json"
     path.write_text(json.dumps({"n": 2, "entries": []}))
-    code, out, _ = run(
-        capsys, "kernel", "--model", path, "--samples", "1", "--max-vertices", "1",
-        "--seed", "0",
-    )
-    assert code == 2
-    assert out.splitlines()[-1] == "fail"
+    for samples, max_vertices, seed in [(1, 1, 0)] + [(10, 3, seed) for seed in range(5)]:
+        code, out, _ = run(
+            capsys, "kernel", "--model", path, "--samples", samples,
+            "--max-vertices", max_vertices, "--seed", seed,
+        )
+        assert code == 2, seed
+        assert out.splitlines()[-2:] == ["negative_control 0", "fail"], seed
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +387,16 @@ def test_subcommands_refuse_flags_they_do_not_read(workdir, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert f"unrecognized arguments: {flag}" in err, argv
+
+
+def test_gram_above_the_byte_bound_is_input_error(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(vlink.characterize, "GRAM_BYTES_BOUND", 16 * 60**2 - 1)
+    code, out, err = run(capsys, "gram", "--model", workdir / "real.json", "--max-vertices", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "vlink: error: the Gram of 60 basis tangles (arity 4, max_vertices 1) "
+        "needs 57600 bytes, above the bound of 57599\n"
+    )
 
 
 def test_gram_complex_model_is_input_error(workdir, capsys):
