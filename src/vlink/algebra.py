@@ -16,6 +16,7 @@ m alone, so each is built once per process and shared.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -135,11 +136,14 @@ def disjoint_union(g: Tangle, h: Tangle) -> Tangle:
 class QuantumTangle:
     """A finite complex-linear combination of tangles.
 
-    Terms are keyed by canonical key, so isomorphic tangles always combine.
-    Instances are immutable; use the ``qt_*`` functions to build new ones.
+    Terms are (tangle, coefficient) pairs, one per isomorphism class, sorted
+    by canonical key.  Keys are made only where terms can merge (`qt_add`,
+    `qt_glue`, `det_tangle`, `tangle_derivative`, `.qtl` loading) or are
+    compared (`coefficient`); `of` and `qt_scale` make none.  Instances are
+    immutable; use the ``qt_*`` functions to build new ones.
     """
 
-    terms: tuple[tuple[bytes, Tangle, complex], ...]
+    terms: tuple[tuple[Tangle, complex], ...]
 
     @staticmethod
     def zero() -> "QuantumTangle":
@@ -147,25 +151,33 @@ class QuantumTangle:
 
     @staticmethod
     def of(t: Tangle, coeff: complex = 1.0) -> "QuantumTangle":
-        return _from_items([(t, complex(coeff))])
+        c = _finite(coeff)
+        return QuantumTangle(((t, c),) if abs(c) > COEFF_PRUNE_TOL else ())
 
     def coefficient(self, t: Tangle) -> complex:
         key = canonical_key(t)
-        for k, _, c in self.terms:
-            if k == key:
+        for u, c in self.terms:
+            if canonical_key(u) == key:
                 return c
         return 0j
 
     @property
     def arities(self) -> set[int]:
-        return {t.arity for _, t, _ in self.terms}
+        return {t.arity for t, _ in self.terms}
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def __iter__(self):
-        for _, t, c in self.terms:
-            yield t, c
+        return iter(self.terms)
+
+
+def _finite(z: complex) -> complex:
+    """``complex(z)``; a NaN or infinite part is a ValueError."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"coefficient must be finite, got {z}")
+    return z
 
 
 def _from_items(items) -> QuantumTangle:
@@ -177,21 +189,20 @@ def _from_items(items) -> QuantumTangle:
             acc[key] = (rep, prev + c)
         else:
             acc[key] = (t, c)
-    kept = [
-        (key, rep, c)
-        for key, (rep, c) in acc.items()
-        if abs(c) > COEFF_PRUNE_TOL
-    ]
-    kept.sort(key=lambda item: item[0])
-    return QuantumTangle(tuple(kept))
+    kept = (acc[key] for key in sorted(acc))
+    return QuantumTangle(tuple((t, c) for t, c in kept if abs(c) > COEFF_PRUNE_TOL))
 
 
 def qt_add(a: QuantumTangle, b: QuantumTangle) -> QuantumTangle:
-    return _from_items([(t, c) for t, c in a] + [(t, c) for t, c in b])
+    return _from_items([*a, *b])
 
 
 def qt_scale(z: complex, a: QuantumTangle) -> QuantumTangle:
-    return _from_items([(t, complex(z) * c) for t, c in a])
+    """``z`` times each term of ``a``, in term order; a finite ``z`` is
+    required, and terms that fall to `COEFF_PRUNE_TOL` or below are dropped."""
+    z = _finite(z)
+    scaled = ((t, z * c) for t, c in a)
+    return QuantumTangle(tuple((t, c) for t, c in scaled if abs(c) > COEFF_PRUNE_TOL))
 
 
 def qt_glue(a: QuantumTangle, b: QuantumTangle) -> QuantumTangle:

@@ -42,14 +42,15 @@ A basis is mostly leg relabellings of a few interior shapes, and the plans
 of such tangles at n compile to one program (`execute_plan`'s initial
 nodes and merges) that differs only in the final leg transpose.  So a
 basis keeps, per n, a program table made at its first Gram at n: the
-first tangle of each (loop count, program) with its plan, and for every
-tangle its program and where each of its legs sits in that program's
-tensor.  That is O(|B| k) integers.  A Gram contracts only the first
-tangles, by the plans in the table, and gathers every row from their
-tensors in one `np.take`, without a plan lookup or a program hash: the
-same bits each tangle's own contraction would give.  At n=2, (4, 1) has
-60 tangles and 10 programs, (4, 2) 1,470 and 235, (6, 1) 510 and 10,
-(6, 2) 18,270 and 253.  The tables go when their basis leaves the cache.
+first tangle of each (loop count, program), and for every tangle its
+program and where each of its legs sits in that program's tensor.  That
+is O(|B| k) integers.  A Gram evaluates only the first tangles, through
+`tangle_tensor` like every other tangle (one plan lookup per program),
+and gathers every row from their tensors in one `np.take`, without a
+program hash: the same bits each tangle's own evaluation would give.  At
+n=2, (4, 1) has 60 tangles and 10 programs, (4, 2) 1,470 and 235, (6, 1)
+510 and 10, (6, 2) 18,270 and 253.  The tables go when their basis
+leaves the cache.
 """
 
 from __future__ import annotations
@@ -59,17 +60,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _from_items, det_tangle, glue, tangle_derivative
-from .contraction import ContractionPlan, plan_contraction
+from .algebra import QuantumTangle, det_tangle, qt_glue, tangle_derivative
+from .contraction import plan_contraction
 from .diagram import LEG, CacheInfo, Endpoint, Tangle, build_tangle, canonical_key
-from .model import (
-    TangleTensor,
-    VertexModel,
-    _contract,
-    pair,
-    partition_function,
-    qt_evaluate,
-)
+from .model import TangleTensor, VertexModel, pair, partition_function, qt_evaluate, tangle_tensor
 
 __all__ = [
     "BASIS_CACHE_BOUND",
@@ -201,6 +195,8 @@ def random_tangle(
     loop_count: int = 0,
 ) -> Tangle:
     """Uniform random wiring: shuffle all endpoints, pair them consecutively."""
+    if arity < 0:
+        raise ValueError(f"arity must be nonnegative, got {arity}")
     if arity % 2:
         raise ValueError("arity must be even")
     points: list[Endpoint] = [(LEG, i) for i in range(1, arity + 1)]
@@ -215,20 +211,12 @@ def random_tangle(
 # Kernel of the partition function
 
 
-def _det_glued(model: VertexModel, m: int, t: Tangle) -> float:
-    """|f_R(det(m) . t)| for a 2m-tangle t.  Each term of det(m) is glued to
-    t directly and the products are combined as `qt_glue` combines them, so
-    t itself is never keyed; its coefficient in ``QuantumTangle.of(t)``
-    would be 1, which leaves each product's ±1 unchanged."""
-    return abs(qt_evaluate(model, _from_items((glue(u, t), c) for u, c in det_tangle(m))))
-
-
 def kernel_residual(model: VertexModel, t: Tangle) -> float:
     """|f_R(det(n+1) . t)| for a 2(n+1)-tangle t; zero in exact arithmetic."""
     m = model.n + 1
     if t.arity != 2 * m:
         raise ValueError(f"need a {2 * m}-tangle for an n={model.n} model, got arity {t.arity}")
-    return _det_glued(model, m, t)
+    return abs(qt_evaluate(model, qt_glue(det_tangle(m), QuantumTangle.of(t))))
 
 
 @dataclass(frozen=True)
@@ -269,7 +257,8 @@ def kernel_probe(
     for m, fewest in ((model.n + 1, 0), (model.n, 1)):
         for _ in range(samples):
             v = int(rng.integers(fewest, max(fewest, max_vertices) + 1))
-            drawn.append((v, _det_glued(model, m, random_tangle(rng, 2 * m, v))))
+            t = random_tangle(rng, 2 * m, v)
+            drawn.append((v, abs(qt_evaluate(model, qt_glue(det_tangle(m), QuantumTangle.of(t))))))
     kernel = drawn[:samples]
     control = max(0.0, *(value for _, value in drawn[samples:]))
     norm = model.norm
@@ -302,22 +291,21 @@ def basis_cache_info() -> CacheInfo:
 
 class _Programs:
     """A basis's program table at one n (see the module docstring): each
-    program's first tangle with its plan, and per basis tangle the flat
-    offset of its program's tensor and the flat stride of each of its legs
-    in it.  That is O(|B| k) integers, never O(|B| n^k)."""
+    program's first tangle, and per basis tangle the flat offset of its
+    program's tensor and the flat stride of each of its legs in it.  That
+    is O(|B| k) integers, never O(|B| n^k)."""
 
     def __init__(self, basis: tuple[Tangle, ...], arity: int, n: int) -> None:
-        self.firsts: list[tuple[Tangle, ContractionPlan]] = []
+        self.firsts: list[Tangle] = []
         known: dict[tuple, int] = {}  # program -> its index in self.firsts
         inverses = []  # per program, the inverse of its first tangle's leg transpose
         program = np.empty(len(basis), dtype=np.intp)
         axes = np.empty((len(basis), arity), dtype=np.intp)
         for i, t in enumerate(basis):
-            plan = plan_contraction(t, n)
-            c = plan.compiled
+            c = plan_contraction(t, n).compiled
             p = known.setdefault((t.loop_count, c.num_vertices, c.init, c.steps), len(self.firsts))
             if p == len(self.firsts):
-                self.firsts.append((t, plan))
+                self.firsts.append(t)
                 inverses.append(sorted(range(arity), key=c.transpose.__getitem__))
             program[i] = p
             axes[i] = [inverses[p][x] for x in c.transpose]
@@ -325,12 +313,12 @@ class _Programs:
         self.strides = n ** (arity - 1 - axes)
 
     def fill(self, model: VertexModel, rows: np.ndarray) -> None:
-        """Contract each program's first tangle under ``model``, and gather
+        """Evaluate each program's first tangle under ``model``, and gather
         every row from those tensors, its legs in its own order."""
         n, arity = model.n, self.strides.shape[1]
         tensors = np.empty((len(self.firsts), n**arity), dtype=complex)
-        for tensor, (t, plan) in zip(tensors, self.firsts):
-            tensor[:] = _contract(model, t, plan).ravel()
+        for tensor, t in zip(tensors, self.firsts):
+            tensor[:] = tangle_tensor(model, t).values.ravel()
         # digits[:, j]: the leg indices of flat position j, in C order.
         digits = np.indices((n,) * arity).reshape(arity, n**arity)
         index = self.offsets[:, None] + self.strides @ digits

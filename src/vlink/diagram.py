@@ -419,7 +419,7 @@ def knot_components(g: Tangle) -> int:
 #: tangles holds bounded memory: about 2.6 KB per entry, 1.3 MiB when full.
 #: Reuse is short-range: nearly every hit is on a tangle of 0-2 vertices or
 #: repeats a key made in the same probe, so over 4,000 seeded
-#: characterization probes 512 entries kept 4,941 of the 5,877 hits that
+#: characterization probes 512 entries kept 4,678 of the 5,403 hits that
 #: 4,096 got, in about 9 MiB less memory.
 KEY_CACHE_BOUND = 1 << 9
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import QuantumTangle
-from .contraction import ContractionPlan, _state_count, execute_plan, plan_contraction
+from .contraction import _state_count, execute_plan, plan_contraction
 from .diagram import CacheInfo, Tangle
 
 __all__ = [
@@ -311,14 +311,7 @@ def save_model(model: VertexModel, path: str) -> None:
 
 def tangle_tensor(model: VertexModel, t: Tangle) -> TangleTensor:
     """Evaluate a k-tangle to its tensor over leg labels 1..k."""
-    return TangleTensor(t.arity, model.n, _contract(model, t, plan_contraction(t, model.n)))
-
-
-def _contract(model: VertexModel, t: Tangle, plan: ContractionPlan) -> np.ndarray:
-    """The values of `tangle_tensor`, by ``plan``, which is
-    ``plan_contraction(t, model.n)``: a caller that keeps it skips the
-    lookup."""
-    values = execute_plan(model.entries, model.n, t, plan)
+    values = execute_plan(model.entries, model.n, t, plan_contraction(t, model.n))
     if t.loop_count:
         try:
             scale = float(model.n) ** t.loop_count
@@ -327,7 +320,7 @@ def _contract(model: VertexModel, t: Tangle, plan: ContractionPlan) -> np.ndarra
                 f"n^loops overflows a float: n = {model.n}, {t.loop_count} vertexless loops"
             ) from exc
         values = values * scale
-    return values
+    return TangleTensor(t.arity, model.n, values)
 
 
 def partition_function(model: VertexModel, g: Tangle) -> complex:

@@ -10,7 +10,8 @@ files read by one Python store per entry, the tangle basis by walking
 every perfect matching of the endpoints, leg relabelling and vertex
 deletion by a mapping function and `build_tangle`, rewriting by cutting
 with `build_tangle` and gluing through a connector graph of every edge, and
-the determinant tangle rebuilt on every call.
+the determinant tangle rebuilt on every call, its signs by counting
+inversions.
 None of it imports the contraction planner or the model-file loader.  The
 basis walk alone deduplicates by `canonical_key`, which
 `brute_isomorphic` checks elsewhere: it judges the generation, not the key.
@@ -35,7 +36,7 @@ from vlink import (
     strand_tangle,
     symmetrize,
 )
-from vlink.algebra import _from_items, _parity_sign
+from vlink.algebra import _from_items
 from vlink.characterize import ENUMERATION_ENDPOINT_BUDGET
 from vlink.diagram import Endpoint
 
@@ -368,10 +369,12 @@ def reference_relabel_legs(t: Tangle, perm: dict[int, int]) -> Tangle:
 
 def reference_det_tangle(m: int) -> QuantumTangle:
     """The determinant tangle built afresh on every call, one permutation
-    matching per permutation of 0..m-1 with its sign."""
+    matching per permutation of 0..m-1 with its sign, -1 to the number of
+    inversions."""
     items = []
     for perm in itertools.permutations(range(m)):
-        items.append((permutation_matching(perm), complex(_parity_sign(perm))))
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        items.append((permutation_matching(perm), complex((-1) ** inversions)))
     return _from_items(items)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import vlink as vl
+import vlink.diagram
 from vlink import LEG, QuantumTangle
 
 from oracles import (
@@ -134,6 +135,34 @@ def test_qt_scale():
     s = vl.qt_scale(2.5j, QuantumTangle.of(t, 2.0))
     assert s.coefficient(t) == 5.0j
     assert vl.qt_scale(0.0, s) == QuantumTangle.zero()
+
+
+def test_a_combination_holds_tangle_coefficient_pairs():
+    t = vl.parse_tangle("x v1 a b c d\nleg 1 a\nleg 2 b\nleg 3 c\nleg 4 d")
+    for qt in (QuantumTangle.of(t, 2.0), vl.qt_scale(3.0, vl.tangle_derivative(vl.loop_diagram(1)))):
+        assert all(len(term) == 2 and isinstance(term[1], complex) for term in qt.terms)
+        assert list(qt) == list(qt.terms)
+
+
+def test_of_and_qt_scale_make_no_key():
+    # Neither can merge terms, so neither keys a tangle: the key cache sees
+    # no lookup at all, hit or miss.
+    t = vl.parse_tangle("x v1 a b c d\nx v2 a c e f\nleg 1 b\nleg 2 d\nleg 3 e\nleg 4 f")
+    vlink.diagram._canonical_key.cache_clear()
+    one = QuantumTangle.of(t, 2.0)
+    scaled = vl.qt_scale(-1.5j, one)
+    assert vl.key_cache_info()[:2] == (0, 0)
+    assert scaled.terms == ((t, -3.0j),)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(0, float("nan"))])
+def test_a_coefficient_that_is_not_finite_is_refused(bad):
+    t = vl.loop_diagram(1)
+    with pytest.raises(ValueError, match="coefficient must be finite"):
+        QuantumTangle.of(t, bad)
+    for a in (QuantumTangle.of(t), QuantumTangle.zero()):
+        with pytest.raises(ValueError, match="coefficient must be finite"):
+            vl.qt_scale(bad, a)
 
 
 @given(

@@ -134,6 +134,13 @@ def test_random_tangle_odd_arity():
         vl.random_tangle(np.random.default_rng(0), 3, 1)
 
 
+def test_random_tangle_rejects_negative_arity():
+    # Refused with `enumerate_tangles`'s message, even or odd, before any draw.
+    for arity in (-2, -3):
+        with pytest.raises(ValueError, match=f"arity must be nonnegative, got {arity}"):
+            vl.random_tangle(np.random.default_rng(0), arity, 1)
+
+
 # ---------------------------------------------------------------------------
 # Determinant-tangle kernel
 
@@ -182,8 +189,9 @@ def test_kernel_probe_rejects_empty_or_negative_probes():
 
 
 def test_kernel_residual_never_keys_its_tangle():
-    # det(n+1) is glued to t term by term, so t's key is never made, and the
-    # residual is the bits of gluing det(n+1) to t as a combination.
+    # `QuantumTangle.of(t)` makes no key and `qt_glue` keys only the glued
+    # products, so t's key is never made, and the residual is the bits of
+    # gluing det(n+1) to t as a combination.
     model = vl.random_model(2, np.random.default_rng(38))
     rng = np.random.default_rng(39)
     for v in (0, 1, 2, 3):
@@ -406,27 +414,29 @@ def test_basis_cache_stays_within_its_bound(empty_basis_cache):
     assert vl.basis_cache_info() == (1, len(flood) + 1, BASIS_CACHE_BOUND, BASIS_CACHE_BOUND)
 
 
-def test_a_second_gram_at_one_n_makes_no_plan_lookup(empty_basis_cache):
+def test_a_second_gram_at_one_n_makes_no_plan(empty_basis_cache):
     # The first call at (4, 1) and n=2 builds the basis's program table; a
-    # second, under another model, contracts each program's first tangle by
-    # the plan the table holds, and gives the per-tangle bits.
+    # second, under another model, evaluates only each program's first
+    # tangle, whose plan is already made: one plan lookup per program, 10
+    # in all, and the per-tangle bits.
     vl.gram_psd(vl.random_model(2, np.random.default_rng(77), real=True), max_vertices=1)
-    planned = vl.plan_cache_info()
+    hits, misses, _, _ = vl.plan_cache_info()
     model = vl.random_model(2, np.random.default_rng(78), real=True)
     report = vl.gram_psd(model, max_vertices=1)
-    assert vl.plan_cache_info() == planned
+    assert vl.plan_cache_info()[:2] == (hits + 10, misses)
+    assert len(_programs(report.basis, 2)) == 10
     want = np.array([vl.tangle_tensor(model, t).values.ravel() for t in report.basis])
     assert report.gram.tobytes() == (want @ want.T).tobytes()
 
 
 def test_rows_that_do_not_fit_drop_the_program_table_with_the_basis(empty_basis_cache, monkeypatch):
-    def no_memory(model, t, plan):
+    def no_memory(model, t):
         raise MemoryError
 
     model = vl.random_model(2, np.random.default_rng(79), real=True)
     vl.gram_psd(model, max_vertices=1)
     programs = weakref.ref(vlink.characterize._basis(4, 1).programs[2])
-    monkeypatch.setattr(vlink.characterize, "_contract", no_memory)
+    monkeypatch.setattr(vlink.characterize, "tangle_tensor", no_memory)
     with pytest.raises(MemoryError):
         vl.gram_psd(model, max_vertices=1)
     gc.collect()
@@ -450,12 +460,12 @@ def test_gram_above_the_byte_bound_is_refused_before_any_plan(empty_basis_cache,
 
 
 def test_basis_whose_gram_does_not_fit_is_dropped(empty_basis_cache, monkeypatch):
-    def no_memory(model, t, plan):
+    def no_memory(model, t):
         raise MemoryError
 
     model = vl.random_model(2, np.random.default_rng(66), real=True)
     vl.gram_psd(model, max_vertices=0)
-    monkeypatch.setattr(vlink.characterize, "_contract", no_memory)
+    monkeypatch.setattr(vlink.characterize, "tangle_tensor", no_memory)
     with pytest.raises(MemoryError):
         vl.gram_psd(model, max_vertices=1)
     assert vl.basis_cache_info().size == 0

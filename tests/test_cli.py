@@ -529,6 +529,13 @@ def test_random_tangle_parses(capsys):
     assert (t.arity, t.num_vertices, t.loop_count) == (4, 2, 1)
 
 
+def test_random_tangle_of_negative_arity_is_refused(capsys):
+    # An even negative arity once drew a closed diagram and exited 0.
+    code, out, err = run(capsys, "random", "--kind", "tangle", "--k", "-2", "--vertices", "1")
+    assert (code, out) == (1, "")
+    assert err == "vlink: error: arity must be nonnegative, got -2\n"
+
+
 # ---------------------------------------------------------------------------
 # Usage and entry point
 
