@@ -28,6 +28,7 @@ from .diagram import (
     Endpoint,
     Tangle,
     VldError,
+    _lines,
     _remap,
     build_tangle,
     canonical_key,
@@ -139,8 +140,10 @@ class QuantumTangle:
     Terms are (tangle, coefficient) pairs, one per isomorphism class, sorted
     by canonical key.  Keys are made only where terms can merge (`qt_add`,
     `qt_glue`, `det_tangle`, `tangle_derivative`, `.qtl` loading) or are
-    compared (`coefficient`); `of` and `qt_scale` make none.  Instances are
-    immutable; use the ``qt_*`` functions to build new ones.
+    compared (`coefficient`); `of` and `qt_scale` make none.  Every
+    coefficient is finite and above `COEFF_PRUNE_TOL` in absolute value: a
+    product or sum that overflows is a ValueError.  Instances are immutable;
+    use the ``qt_*`` functions to build new ones.
     """
 
     terms: tuple[tuple[Tangle, complex], ...]
@@ -151,8 +154,7 @@ class QuantumTangle:
 
     @staticmethod
     def of(t: Tangle, coeff: complex = 1.0) -> "QuantumTangle":
-        c = _finite(coeff)
-        return QuantumTangle(((t, c),) if abs(c) > COEFF_PRUNE_TOL else ())
+        return _combination([(t, coeff)])
 
     def coefficient(self, t: Tangle) -> complex:
         key = canonical_key(t)
@@ -180,7 +182,21 @@ def _finite(z: complex) -> complex:
     return z
 
 
+def _combination(pairs) -> QuantumTangle:
+    """The combination of the (tangle, coefficient) ``pairs``, in their
+    order: a coefficient that is not finite is a ValueError, and one at or
+    below `COEFF_PRUNE_TOL` is dropped."""
+    terms = []
+    for t, c in pairs:
+        c = _finite(c)
+        if abs(c) > COEFF_PRUNE_TOL:
+            terms.append((t, c))
+    return QuantumTangle(tuple(terms))
+
+
 def _from_items(items) -> QuantumTangle:
+    """Merge ``items`` by isomorphism class, summing coefficients, into a
+    combination sorted by canonical key."""
     acc: dict[bytes, tuple[Tangle, complex]] = {}
     for t, c in items:
         key = canonical_key(t)
@@ -189,8 +205,7 @@ def _from_items(items) -> QuantumTangle:
             acc[key] = (rep, prev + c)
         else:
             acc[key] = (t, c)
-    kept = (acc[key] for key in sorted(acc))
-    return QuantumTangle(tuple((t, c) for t, c in kept if abs(c) > COEFF_PRUNE_TOL))
+    return _combination(acc[key] for key in sorted(acc))
 
 
 def qt_add(a: QuantumTangle, b: QuantumTangle) -> QuantumTangle:
@@ -198,11 +213,10 @@ def qt_add(a: QuantumTangle, b: QuantumTangle) -> QuantumTangle:
 
 
 def qt_scale(z: complex, a: QuantumTangle) -> QuantumTangle:
-    """``z`` times each term of ``a``, in term order; a finite ``z`` is
-    required, and terms that fall to `COEFF_PRUNE_TOL` or below are dropped."""
+    """``z`` times each term of ``a``, in term order.  ``z`` itself must be
+    finite, even when ``a`` has no terms."""
     z = _finite(z)
-    scaled = ((t, z * c) for t, c in a)
-    return QuantumTangle(tuple((t, c) for t, c in scaled if abs(c) > COEFF_PRUNE_TOL))
+    return _combination((t, z * c) for t, c in a)
 
 
 def qt_glue(a: QuantumTangle, b: QuantumTangle) -> QuantumTangle:
@@ -313,11 +327,7 @@ def load_quantum_tangle(path: str) -> QuantumTangle:
     """
     base = os.path.dirname(os.path.abspath(path))
     items = []
-    for lineno, raw in enumerate(read_source(path).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _lines(read_source(path)):
         if tokens[0] != "term" or len(tokens) != 4:
             raise VldError("expected: term <re> <im> <path>", str(path), lineno)
         try:

@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--model", help="model JSON file (default: seeded random model)")
     p.add_argument("--symmetrize", action="store_true")
-    p.add_argument("--n", type=int, default=2, help="state count for random model")
+    p.add_argument("--n", type=int, help="state count of the random model (default 2)")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--max-vertices", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -119,11 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, fmt=False, tol=False)
     p.add_argument("--kind", choices=("model", "tangle"), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=2, help="state count (model)")
+    p.add_argument("--n", type=int, help="state count (model; default 2)")
     p.add_argument("--real", action="store_true", help="real entries (model)")
-    p.add_argument("--k", type=int, default=0, help="arity (tangle)")
-    p.add_argument("--vertices", type=int, default=2, help="vertex count (tangle)")
-    p.add_argument("--loops", type=int, default=0, help="vertexless loops (tangle)")
+    p.add_argument("--k", type=int, help="arity (tangle; default 0)")
+    p.add_argument("--vertices", type=int, help="vertex count (tangle; default 2)")
+    p.add_argument("--loops", type=int, help="vertexless loops (tangle; default 0)")
     return parser
 
 
@@ -168,6 +168,16 @@ def _load_model_arg(args: argparse.Namespace):
     return load_model(args.model, project=args.symmetrize)
 
 
+def _refuse_unread(args: argparse.Namespace, names: tuple[str, ...], when: str) -> None:
+    """A ValueError for the first flag of ``names`` given on the command
+    line: each is read only ``when``.  Such a flag defaults to None, or to
+    False if it takes no value."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            raise ValueError(f"--{name} is read only {when}")
+
+
 def _emit(args: argparse.Namespace, text_line: str, record: dict) -> None:
     if args.format == "text":
         print(text_line)
@@ -178,6 +188,17 @@ def _emit(args: argparse.Namespace, text_line: str, record: dict) -> None:
         csv.writer(sys.stdout, lineterminator="\n").writerow(x for field in fields for x in field)
     else:
         print(json.dumps(record, sort_keys=True))
+
+
+def _verdict(args: argparse.Namespace, values: dict, passed: bool) -> int:
+    """Print the named ``values`` and the verdict; 0 on pass, 2 on fail.
+
+    Text prints a ``name value`` line per value, then ``pass`` or ``fail``;
+    csv and json-lines print one record that also holds ``passed``.
+    """
+    lines = [f"{name} {_fmt(value)}" for name, value in values.items()]
+    _emit(args, "\n".join([*lines, "pass" if passed else "fail"]), {**values, "passed": passed})
+    return 0 if passed else 2
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -218,18 +239,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     model = _load_model_arg(args)
     report = check_algebraic(model, tol=args.tol)
-    _emit(
-        args,
-        f"r1 {_fmt(report.residual_r1)}\nr2 {_fmt(report.residual_r2)}\n"
-        f"r3 {_fmt(report.residual_r3)}\n{'pass' if report.passed else 'fail'}",
-        {
-            "r1": report.residual_r1,
-            "r2": report.residual_r2,
-            "r3": report.residual_r3,
-            "passed": report.passed,
-        },
-    )
-    return 0 if report.passed else 2
+    residuals = {"r1": report.residual_r1, "r2": report.residual_r2, "r3": report.residual_r3}
+    return _verdict(args, residuals, report.passed)
 
 
 def _cmd_moves(args: argparse.Namespace) -> int:
@@ -252,34 +263,23 @@ def _cmd_moves(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.paths[pick]}: {exc}") from exc
         delta = abs(partition_function(model, moved) - f_before)
         worst = max(worst, delta / (1.0 + abs(f_before)))
-    ok = worst <= args.tol
-    _emit(
-        args,
-        f"applied {args.count}\nmax_scaled_delta {_fmt(worst)}\n{'pass' if ok else 'fail'}",
-        {"applied": args.count, "max_scaled_delta": worst, "passed": ok},
-    )
-    return 0 if ok else 2
+    return _verdict(args, {"applied": args.count, "max_scaled_delta": worst}, worst <= args.tol)
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     if args.model:
+        _refuse_unread(args, ("n",), "without --model")
         model = _load_model_arg(args)
     else:
-        model = random_model(args.n, rng)
+        _refuse_unread(args, ("symmetrize",), "with --model")
+        model = random_model(2 if args.n is None else args.n, rng)
     report = kernel_probe(model, args.samples, args.max_vertices, rng)
-    ok = report.passed(args.tol)
-    _emit(
-        args,
-        f"max_scaled_residual {_fmt(report.max_scaled_residual)}\n"
-        f"negative_control {_fmt(report.negative_control)}\n{'pass' if ok else 'fail'}",
-        {
-            "max_scaled_residual": report.max_scaled_residual,
-            "negative_control": report.negative_control,
-            "passed": ok,
-        },
-    )
-    return 0 if ok else 2
+    values = {
+        "max_scaled_residual": report.max_scaled_residual,
+        "negative_control": report.negative_control,
+    }
+    return _verdict(args, values, report.passed(args.tol))
 
 
 def _cmd_gram(args: argparse.Namespace) -> int:
@@ -318,10 +318,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_random(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     if args.kind == "model":
-        model = random_model(args.n, rng, real=args.real)
+        _refuse_unread(args, ("k", "vertices", "loops"), "with --kind tangle")
+        model = random_model(2 if args.n is None else args.n, rng, real=args.real)
         sys.stdout.write(model_to_json(model))
     else:
-        t = random_tangle(rng, args.k, args.vertices, args.loops)
+        _refuse_unread(args, ("n", "real"), "with --kind model")
+        t = random_tangle(
+            rng,
+            0 if args.k is None else args.k,
+            2 if args.vertices is None else args.vertices,
+            0 if args.loops is None else args.loops,
+        )
         sys.stdout.write(serialize_tangle(t))
     return 0
 

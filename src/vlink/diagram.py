@@ -198,6 +198,16 @@ def strand_tangle() -> Tangle:
 # Every edge id must occur exactly twice across all slot/leg positions.
 
 
+def _lines(text: str):
+    """(line number, tokens) of each line of ``.vld`` or ``.qtl`` text that
+    holds more than a comment.  Lines end at "\\n" only, and a ``#`` comment
+    runs to the end of its line."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
+
+
 def parse_tangle(text: str, source: str = "<string>") -> Tangle:
     """Parse ``.vld`` text into a :class:`Tangle`.
 
@@ -212,11 +222,7 @@ def parse_tangle(text: str, source: str = "<string>") -> Tangle:
     def note(edge_id: str, ep: Endpoint, lineno: int) -> None:
         occurrences.setdefault(edge_id, []).append((ep, lineno))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _lines(text):
         kw = tokens[0]
         if kw == "loops":
             if len(tokens) != 2:

@@ -278,6 +278,39 @@ def _vertex_anchors(g: Tangle) -> dict[str, list[tuple]]:
     return found
 
 
+class _SiteTable:
+    """The move sites of one diagram, by kind and index.
+
+    Holds the sorted edges, the R1-, R2- and R3 anchors of one vertex pass,
+    and the site count of each kind.  R1+ and R2+ sites are counted, not
+    listed: index q of R1+ is the q-th sorted edge (q = E, past the E edges,
+    is the loop site), index q of R2+ the q-th ordered pair of distinct
+    sorted edges.
+    """
+
+    def __init__(self, g: Tangle):
+        if g.arity:
+            raise ValueError("move sites are enumerated on diagrams (arity 0) only")
+        self.edges = sorted(g.edges)
+        self.vertex_anchors = _vertex_anchors(g)
+        e = len(self.edges)
+        self.counts = {"R1+": e + (1 if g.loop_count else 0), "R2+": e * (e - 1)}
+        self.counts.update((kind, len(found)) for kind, found in self.vertex_anchors.items())
+
+    def anchor(self, kind: str, q: int) -> tuple:
+        """The anchor of site q of ``kind``, 0 <= q < ``counts[kind]``."""
+        if kind == "R1+":
+            return ("loop",) if q == len(self.edges) else ("edge", self.edges[q])
+        if kind == "R2+":
+            i, r = divmod(q, len(self.edges) - 1)
+            return (self.edges[i], self.edges[r if r < i else r + 1])
+        return self.vertex_anchors[kind][q]
+
+    def sites(self, kind: str):
+        """Every site of ``kind`` in index order, each built as it is reached."""
+        return (MoveSite(kind, self.anchor(kind, q)) for q in range(self.counts[kind]))
+
+
 def enumerate_move_sites(g: Tangle, kind: str) -> list[MoveSite]:
     """All sites of one move kind, in a fixed deterministic order.
 
@@ -288,19 +321,10 @@ def enumerate_move_sites(g: Tangle, kind: str) -> list[MoveSite]:
     of edges).  R2- anchors come out in lexicographic order, R3 anchors in
     order of (u, v, w, ru, rv, rw) with direction +1 first.
     """
-    if g.arity:
-        raise ValueError("move sites are enumerated on diagrams (arity 0) only")
-    if kind == "R1+":
-        sites = [MoveSite(kind, ("edge", e)) for e in sorted(g.edges)]
-        if g.loop_count:
-            sites.append(MoveSite(kind, ("loop",)))
-        return sites
-    if kind == "R2+":
-        edges = sorted(g.edges)
-        return [MoveSite(kind, (a, b)) for a in edges for b in edges if a != b]
-    if kind in ("R1-", "R2-", "R3"):
-        return [MoveSite(kind, anchor) for anchor in _vertex_anchors(g)[kind]]
-    raise ValueError(f"unknown move kind {kind!r}")
+    table = _SiteTable(g)
+    if kind not in table.counts:
+        raise ValueError(f"unknown move kind {kind!r}")
+    return list(table.sites(kind))
 
 
 def _cut_edges(g: Tangle, pattern: Tangle, cut: tuple) -> Tangle:
@@ -400,32 +424,15 @@ def random_move(g: Tangle, rng: np.random.Generator) -> tuple[MoveSite, Tangle]:
     drawn, then a site of that kind.
 
     The draw is the one made from the lists of `enumerate_move_sites`, but
-    R1+ and R2+ sites are counted, not listed: index q of R1+ is the q-th
-    sorted edge (q = E, past the E edges, is the loop site), index q of R2+
-    the q-th ordered pair of distinct sorted edges, and only the drawn site
-    is built.  R1-, R2- and R3 come from one pass over the vertices with one
-    partner map, so a draw costs O(E log E) before the rewrite.
+    only the drawn site is built, so a draw costs O(E log E) before the
+    rewrite.
     """
-    if g.arity:
-        raise ValueError("move sites are enumerated on diagrams (arity 0) only")
-    e = len(g.edges)
-    anchors = _vertex_anchors(g)
-    counts = {"R1+": e + (1 if g.loop_count else 0), "R2+": e * (e - 1)}
-    counts.update((kind, len(found)) for kind, found in anchors.items())
-    available = [kind for kind in MOVE_KINDS if counts[kind]]
+    table = _SiteTable(g)
+    available = [kind for kind in MOVE_KINDS if table.counts[kind]]
     if not available:
         raise ValueError("diagram admits no move sites")
     kind = available[int(rng.integers(len(available)))]
-    q = int(rng.integers(counts[kind]))
-    if kind == "R1+":
-        anchor = ("loop",) if q == e else ("edge", sorted(g.edges)[q])
-    elif kind == "R2+":
-        edges = sorted(g.edges)
-        i, r = divmod(q, e - 1)
-        anchor = (edges[i], edges[r if r < i else r + 1])
-    else:
-        anchor = anchors[kind][q]
-    site = MoveSite(kind, anchor)
+    site = MoveSite(kind, table.anchor(kind, int(rng.integers(table.counts[kind]))))
     return site, apply_move(g, site)
 
 
@@ -436,13 +443,15 @@ def find_move_witness(
 
     Scans every site of every kind over the given diagrams until the change
     exceeds 1e-6; returns None if the first 2,000 moves, or all of them if
-    fewer, preserve f.
+    fewer, preserve f.  Each diagram's vertices are scanned once, and only
+    the sites it rewrites are built.
     """
     checked = 0
     for g in diagrams:
         f_before = partition_function(model, g)
+        table = _SiteTable(g)
         for kind in MOVE_KINDS:
-            for site in enumerate_move_sites(g, kind):
+            for site in table.sites(kind):
                 delta = abs(partition_function(model, apply_move(g, site)) - f_before)
                 if delta > 1e-6:
                     return g, site, delta

@@ -165,6 +165,20 @@ def test_a_coefficient_that_is_not_finite_is_refused(bad):
             vl.qt_scale(bad, a)
 
 
+def test_a_product_or_sum_that_overflows_is_refused():
+    # Finite coefficients whose product or sum is not finite once made
+    # terms like (nan+infj), which evaluated to (nan+nanj).
+    t, s = vl.loop_diagram(1), vl.strand_tangle()
+    big = 1e300 + 1e300j
+    for build in (
+        lambda: vl.qt_scale(big, QuantumTangle.of(t, big)),
+        lambda: vl.qt_add(QuantumTangle.of(t, 1.7e308), QuantumTangle.of(t, 1.7e308)),
+        lambda: vl.qt_glue(QuantumTangle.of(s, big), QuantumTangle.of(s, big)),
+    ):
+        with pytest.raises(ValueError, match="coefficient must be finite"):
+            build()
+
+
 @given(
     st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),
     st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False),

@@ -360,6 +360,72 @@ def test_kernel_zero_model_fails_control(workdir, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Verdicts: check, moves test and kernel
+
+
+def test_verdict_bytes_and_exit_codes_are_pinned(workdir, capsys):
+    # Every model and diagram here has exact (integer or zero) values, so
+    # the printed numbers do not depend on BLAS.  One passing and one failing
+    # run of each verdict command, in each format.
+    raw = np.random.default_rng(5).integers(-2, 3, (2, 2, 2, 2))
+    vl.save_model(vl.VertexModel(2, raw + raw.transpose(2, 3, 0, 1)), str(workdir / "int.json"))
+    (workdir / "five.vld").write_text(
+        "x v0 e0 e1 e2 e3\nx v1 e2 e4 e4 e3\nx v2 e5 e6 e7 e8\n"
+        "x v3 e7 e6 e1 e9\nx v4 e8 e9 e0 e5\n"
+    )
+    (workdir / "zero.json").write_text(json.dumps({"n": 2, "entries": []}))
+    cases = [
+        (
+            ["check", "--model", workdir / "transmission.json"],
+            0,
+            "r1 0\nr2 0\nr3 0\npass\n",
+            "0.0,0.0,0.0,True\n",
+            '{"passed": true, "r1": 0.0, "r2": 0.0, "r3": 0.0}\n',
+        ),
+        (
+            ["check", "--model", workdir / "knots.json"],
+            2,
+            "r1 4\nr2 17.8885438199983\nr3 0\nfail\n",
+            "4.0,17.88854381999832,0.0,False\n",
+            '{"passed": false, "r1": 4.0, "r2": 17.88854381999832, "r3": 0.0}\n',
+        ),
+        (
+            ["moves", "--model", workdir / "knots.json", "test", workdir / "two_knots.vld",
+             workdir / "loop.vld", "--count", "25", "--seed", "7"],
+            0,
+            "applied 25\nmax_scaled_delta 0\npass\n",
+            "25,0.0,True\n",
+            '{"applied": 25, "max_scaled_delta": 0.0, "passed": true}\n',
+        ),
+        (
+            ["moves", "--model", workdir / "int.json", "test", workdir / "five.vld",
+             "--count", "1", "--seed", "1"],
+            2,
+            "applied 1\nmax_scaled_delta 31.0918981931222\nfail\n",
+            "1,31.09189819312221,False\n",
+            '{"applied": 1, "max_scaled_delta": 31.09189819312221, "passed": false}\n',
+        ),
+        (
+            ["kernel", "--model", workdir / "knots.json", "--samples", "5", "--max-vertices", "1"],
+            0,
+            "max_scaled_residual 0\nnegative_control 4\npass\n",
+            "0.0,4.0,True\n",
+            '{"max_scaled_residual": 0.0, "negative_control": 4.0, "passed": true}\n',
+        ),
+        (
+            ["kernel", "--model", workdir / "zero.json", "--samples", "1", "--max-vertices", "1"],
+            2,
+            "max_scaled_residual 0\nnegative_control 0\nfail\n",
+            "0.0,0.0,False\n",
+            '{"max_scaled_residual": 0.0, "negative_control": 0.0, "passed": false}\n',
+        ),
+    ]
+    for argv, code, *outputs in cases:
+        for fmt, expected in zip(("text", "csv", "json-lines"), outputs):
+            assert run(capsys, *argv, "--format", fmt) == (code, expected, ""), (argv, fmt)
+
+
+# ---------------------------------------------------------------------------
 # gram
 
 
@@ -387,6 +453,37 @@ def test_subcommands_refuse_flags_they_do_not_read(workdir, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert f"unrecognized arguments: {flag}" in err, argv
+
+
+def test_modes_refuse_flags_they_do_not_read(workdir, capsys):
+    # kernel reads --n only for its random model and --symmetrize only for a
+    # model file; random reads --n and --real only for a model, and --k,
+    # --vertices and --loops only for a tangle.
+    model = workdir / "knots.json"
+    for argv, message in (
+        (["kernel", "--symmetrize", "--samples", "2"], "--symmetrize is read only with --model"),
+        (["kernel", "--model", model, "--n", "5"], "--n is read only without --model"),
+        (["kernel", "--model", model, "--n", "2"], "--n is read only without --model"),
+        (["random", "--kind", "model", "--k", "4", "--vertices", "9", "--loops", "3"],
+         "--k is read only with --kind tangle"),
+        (["random", "--kind", "model", "--k", "0"], "--k is read only with --kind tangle"),
+        (["random", "--kind", "model", "--loops", "0"], "--loops is read only with --kind tangle"),
+        (["random", "--kind", "tangle", "--n", "7", "--real"], "--n is read only with --kind model"),
+        (["random", "--kind", "tangle", "--real"], "--real is read only with --kind model"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"vlink: error: {message}\n"), argv
+
+
+def test_flags_that_are_read_keep_their_defaults(capsys):
+    for given, default in (
+        (["kernel", "--n", "2"], ["kernel"]),
+        (["random", "--kind", "model", "--n", "2"], ["random", "--kind", "model"]),
+        (
+            ["random", "--kind", "tangle", "--k", "0", "--vertices", "2", "--loops", "0"],
+            ["random", "--kind", "tangle"],
+        ),
+    ):
+        assert run(capsys, *given) == run(capsys, *default), given
 
 
 def test_gram_above_the_byte_bound_is_input_error(workdir, capsys, monkeypatch):

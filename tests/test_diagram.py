@@ -193,6 +193,26 @@ def test_parse_error_carries_location():
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c"])
+def test_lines_end_at_newline_only(tmp_path, separator):
+    # A comment runs to the next "\n", whatever other line separator it
+    # holds, in .vld and .qtl files alike; error lines count "\n" only.
+    vld = tmp_path / "c.vld"
+    vld.write_text(f"x v1 a b b a  # kink{separator}see below\n", encoding="utf-8")
+    assert vl.load_tangle(str(vld)) == vl.parse_tangle("x v1 a b b a")
+    qtl = tmp_path / "c.qtl"
+    qtl.write_text(f"# kink{separator}see below\nterm 2 0 c.vld\n", encoding="utf-8")
+    assert vl.load_quantum_tangle(str(qtl)).terms == ((vl.parse_tangle("x v1 a b b a"), 2),)
+    for load, path, text in (
+        (vl.load_quantum_tangle, qtl, "term 1 0 c.vld"),
+        (vl.load_tangle, vld, "x v1 a b b a"),
+    ):
+        path.write_text(f"# one{separator}two\n{text}\nbogus\n", encoding="utf-8")
+        with pytest.raises(vl.VldError) as info:
+            load(str(path))
+        assert (info.value.source, info.value.line) == (str(path), 3)
+
+
 def test_serialize_round_trip_corpus(corpus):
     for t in corpus:
         again = vl.parse_tangle(vl.serialize_tangle(t))

@@ -504,6 +504,22 @@ def test_no_witness_once_every_site_is_checked(monkeypatch):
     assert applied == sites
 
 
+def test_witness_search_scans_the_vertices_once_per_diagram(monkeypatch):
+    # The R1-, R2- and R3 sites all come from one pass over the vertices;
+    # listing the three kinds one by one made three.
+    passes = []
+    original = vl.moves._vertex_anchors
+
+    def counting(g):
+        passes.append(g)
+        return original(g)
+
+    monkeypatch.setattr(vl.moves, "_vertex_anchors", counting)
+    g = vl.parse_tangle("x v1 a b b a")
+    assert vl.find_move_witness(vl.knot_counting_model(), [g]) is None
+    assert passes == [g]
+
+
 def test_witness_search_stops_after_2000_checks(monkeypatch):
     # 401 kink diagrams hold 2,005 sites, none changing 2^knots: the search
     # gives up after the first 2,000 rewrites instead of checking them all.
