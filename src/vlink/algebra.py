@@ -185,11 +185,12 @@ def _finite(z: complex) -> complex:
 def _combination(pairs) -> QuantumTangle:
     """The combination of the (tangle, coefficient) ``pairs``, in their
     order: a coefficient that is not finite is a ValueError, and one at or
-    below `COEFF_PRUNE_TOL` is dropped."""
+    below `COEFF_PRUNE_TOL` is dropped.  The modulus is ``math.hypot``'s,
+    which is ``abs``'s but inf where a finite coefficient's overflows."""
     terms = []
     for t, c in pairs:
         c = _finite(c)
-        if abs(c) > COEFF_PRUNE_TOL:
+        if math.hypot(c.real, c.imag) > COEFF_PRUNE_TOL:
             terms.append((t, c))
     return QuantumTangle(tuple(terms))
 
@@ -322,8 +323,9 @@ def tangle_derivative(g: Tangle) -> QuantumTangle:
 def load_quantum_tangle(path: str) -> QuantumTangle:
     """Load a linear combination from a ``.qtl`` manifest.
 
-    Coefficient parts must be finite numbers.  Diagram paths are resolved
-    relative to the manifest's directory.
+    Coefficient parts must be finite numbers, and so must the sum of the
+    terms of each isomorphism class.  Diagram paths are resolved relative
+    to the manifest's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
     items = []
@@ -340,4 +342,7 @@ def load_quantum_tangle(path: str) -> QuantumTangle:
         if not os.path.isabs(sub):
             sub = os.path.join(base, sub)
         items.append((load_tangle(sub), complex(re_part, im_part)))
-    return _from_items(items)
+    try:
+        return _from_items(items)
+    except ValueError as exc:  # a class's coefficients sum past the float range
+        raise VldError(f"summed terms: {exc}", str(path)) from exc

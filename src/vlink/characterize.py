@@ -275,7 +275,6 @@ class GramReport:
     basis: tuple[Tangle, ...]
     gram: np.ndarray
     min_eigenvalue: float
-    hermiticity_residual: float
 
     def passed(self, tol: float = 1e-8) -> bool:
         scale = 1.0 + float(np.linalg.norm(self.gram))
@@ -392,10 +391,9 @@ def gram_psd(model: VertexModel, max_vertices: int) -> GramReport:
     if not model.is_real:
         raise ValueError("gram_psd needs a real model")
     basis, _, gram = _basis_gram(model, 4, max_vertices)
-    herm = float(np.max(np.abs(gram.imag)))
     sym = (gram.real + gram.real.T) / 2.0
     eigs = np.linalg.eigvalsh(sym)
-    return GramReport(basis, gram, float(eigs.min()), herm)
+    return GramReport(basis, gram, float(eigs.min()))
 
 
 def nondegeneracy_probe(model: VertexModel, arity: int, max_vertices: int) -> tuple[int, int]:

@@ -204,14 +204,18 @@ def _verdict(args: argparse.Namespace, values: dict, passed: bool) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     model = _load_model_arg(args)
     for path in args.paths:
-        if path.endswith(".qtl"):
-            value = qt_evaluate(model, load_quantum_tangle(path))
-        else:
-            tangle = load_tangle(path)
-            if tangle.arity:
-                value = tangle_tensor(model, tangle)
+        # An overflow is reported below, once per path, not warned about.
+        with np.errstate(all="ignore"):
+            if path.endswith(".qtl"):
+                value = qt_evaluate(model, load_quantum_tangle(path))
             else:
-                value = partition_function(model, tangle)
+                tangle = load_tangle(path)
+                if tangle.arity:
+                    value = tangle_tensor(model, tangle)
+                else:
+                    value = partition_function(model, tangle)
+        if not np.isfinite(value.values if isinstance(value, TangleTensor) else value).all():
+            raise ValueError(f"{path}: value is not finite (the evaluation overflowed)")
         if isinstance(value, TangleTensor):
             for idx in np.ndindex(value.values.shape):
                 z = complex(value.values[idx])

@@ -59,11 +59,11 @@ every call; the buffer goes back to the list once the merge that reads
 it has run, and the one under a returned array never does.  Operand
 copies are numpy's own, made by reshape where it must copy.
 A tangle keeps its plans: `plan_contraction` stores the plan made at each
-n in the tangle's instance dict, next to its cached hash and outside its
-equality, hash and repr.  A plan so lives exactly as long as its tangle,
-and nothing bounds or evicts it.  The tangles that are evaluated again (a
-Gram basis, a move chain's current diagram) are the ones their callers
-hold; an equal tangle built anew is planned anew, to the same plan.
+n in the tangle's instance dict, outside its equality, hash and repr.  A
+plan so lives exactly as long as its tangle, and nothing bounds or evicts
+it.  The tangles that are evaluated again (a Gram basis, a move chain's
+current diagram) are the ones their callers hold; an equal tangle built
+anew is planned anew, to the same plan.
 """
 
 from __future__ import annotations

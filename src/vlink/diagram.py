@@ -103,13 +103,6 @@ class Tangle:
             and expected == set(itertools.chain.from_iterable(edges))
         ):
             self._reject(edges, expected)
-        # Hash once, for tangles used as dict keys or set members.
-        object.__setattr__(
-            self, "_hash", hash((self.num_vertices, self.arity, self.edges, self.loop_count))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def _reject(self, edges: frozenset, expected: frozenset[Endpoint]) -> None:
         """Raise the error naming the first fault of an invalid matching."""
@@ -357,8 +350,7 @@ def _remap(
     ``drop``; an endpoint left out makes `Tangle` reject the result.
     Relabelling legs, deleting a vertex and cutting a move pattern out are
     all this one map.  Endpoints that keep their name are reused, not
-    copied: the edges of derivative terms and rewrites live on in the key
-    cache.
+    copied: the edges of derivative terms live on in the key cache.
     """
     kept = [v for v in range(t.num_vertices) if v not in gone]
     where = {(old, s): (new, s) for new, old in enumerate(kept) if new != old for s in range(4)}

@@ -42,9 +42,6 @@ from .model import VertexModel, partition_function
 __all__ = [
     "ConditionReport",
     "check_algebraic",
-    "kink_contraction",
-    "crossing_transpose",
-    "ybe_sides",
     "move_tangles",
     "MOVE_KINDS",
     "MoveSite",
@@ -57,31 +54,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Algebraic conditions
-
-
-def kink_contraction(model: VertexModel) -> np.ndarray:
-    """C(R)[a,c] = sum_b R[a,b,b,c]; equals I iff kinks are invisible."""
-    return np.einsum("abbc->ac", model.entries)
-
-
-def crossing_transpose(model: VertexModel) -> np.ndarray:
-    """D(R): the crossing with the under-strand factor transposed."""
-    return model.entries.transpose(0, 3, 2, 1)
-
-
-def _as_operator(entries: np.ndarray, n: int) -> np.ndarray:
-    return entries.reshape(n * n, n * n)
-
-
-def ybe_sides(model: VertexModel) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the Yang-Baxter equation as n^3 x n^3 matrices."""
-    n = model.n
-    rop = _as_operator(model.entries, n)
-    eye = np.eye(n)
-    e12 = np.kron(rop, eye)
-    e23 = np.kron(eye, rop)
-    e13 = np.einsum("acdf,be->abcdef", model.entries, eye).reshape(n**3, n**3)
-    return e12 @ e13 @ e23, e23 @ e13 @ e12
 
 
 @dataclass(frozen=True)
@@ -117,13 +89,15 @@ class ConditionReport:
 
 def check_algebraic(model: VertexModel, tol: float = 1e-10) -> ConditionReport:
     """Frobenius residuals of the kink, return, and Yang-Baxter conditions."""
-    n = model.n
-    r1 = float(np.linalg.norm(kink_contraction(model) - np.eye(n)))
-    rop = _as_operator(model.entries, n)
-    dop = _as_operator(crossing_transpose(model), n)
+    n, entries, eye = model.n, model.entries, np.eye(model.n)
+    r1 = float(np.linalg.norm(np.einsum("abbc->ac", entries) - eye))
+    rop = entries.reshape(n * n, n * n)
+    dop = entries.transpose(0, 3, 2, 1).reshape(n * n, n * n)
     r2 = float(np.linalg.norm(rop @ dop - np.eye(n * n)))
-    lhs, rhs = ybe_sides(model)
-    r3 = float(np.linalg.norm(lhs - rhs))
+    e12 = np.kron(rop, eye)
+    e23 = np.kron(eye, rop)
+    e13 = np.einsum("acdf,be->abcdef", entries, eye).reshape(n**3, n**3)
+    r3 = float(np.linalg.norm(e12 @ e13 @ e23 - e23 @ e13 @ e12))
     return ConditionReport(r1, r2, r3, tol, model.norm)
 
 

@@ -165,6 +165,13 @@ def test_a_coefficient_that_is_not_finite_is_refused(bad):
             vl.qt_scale(bad, a)
 
 
+def test_a_huge_finite_coefficient_is_kept():
+    # Its modulus overflows a float, so abs() raises OverflowError on it.
+    t = vl.loop_diagram(1)
+    big = 1.7e308 + 1.7e308j
+    assert QuantumTangle.of(t, big).terms == ((t, big),)
+
+
 def test_a_product_or_sum_that_overflows_is_refused():
     # Finite coefficients whose product or sum is not finite once made
     # terms like (nan+infj), which evaluated to (nan+nanj).
@@ -376,6 +383,15 @@ def test_load_quantum_tangle_rejects_non_finite_coefficients(tmp_path):
             with pytest.raises(vl.VldError, match="coefficient parts must be finite") as info:
                 vl.load_quantum_tangle(str(manifest))
             assert (info.value.source, info.value.line) == (str(manifest), 2)
+
+
+def test_load_quantum_tangle_names_the_manifest_when_terms_sum_past_the_float_range(tmp_path):
+    vl.save_tangle(vl.loop_diagram(1), str(tmp_path / "one.vld"))
+    manifest = tmp_path / "sum.qtl"
+    manifest.write_text("term 1.7e308 0 one.vld\nterm 1.7e308 0 one.vld\n")
+    with pytest.raises(vl.VldError, match="coefficient must be finite") as info:
+        vl.load_quantum_tangle(str(manifest))
+    assert (info.value.source, info.value.line) == (str(manifest), None)
 
 
 def test_load_quantum_tangle_errors(tmp_path):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,36 @@ def test_eval_qtl_large_term(workdir, capsys):
     code_qtl, out_qtl, err = run(capsys, "eval", "--model", model, workdir / "big.qtl")
     assert (code_vld, code_qtl, err) == (0, 0, "")
     assert out_qtl == out_vld
+
+
+def test_eval_values_that_overflow_are_input_errors(workdir, capsys):
+    # huge.qtl's coefficient is kept, though abs() of it overflows a float.
+    (workdir / "huge.qtl").write_text("term 1.7e308 1.7e308 two_knots.vld\n")
+    (workdir / "big.qtl").write_text("term 1e308 1e308 two_knots.vld\n")
+    (workdir / "two.vld").write_text("x v1 a b c d\nx v2 c d a b\n")
+    huge = vl.VertexModel(2, np.full((2,) * 4, 1e200, dtype=complex))
+    vl.save_model(huge, str(workdir / "huge.json"))
+    for model, path in (
+        ("transmission.json", "huge.qtl"),
+        ("real.json", "big.qtl"),
+        ("huge.json", "two.vld"),
+    ):
+        for fmt in ("text", "csv", "json-lines"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(
+                    capsys, "eval", "--format", fmt, "--model", workdir / model, workdir / path
+                )
+            message = f"vlink: error: {workdir / path}: value is not finite (the evaluation overflowed)\n"
+            assert (code, out, err) == (1, "", message)
+
+
+def test_eval_qtl_overflowing_sum_names_the_manifest(workdir, capsys):
+    manifest = workdir / "sum.qtl"
+    manifest.write_text("term 1.7e308 0 two_knots.vld\nterm 1.7e308 0 two_knots.vld\n")
+    code, out, err = run(capsys, "eval", "--model", workdir / "transmission.json", manifest)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"vlink: error: {manifest}: ")
 
 
 def test_eval_missing_file(workdir, capsys):
@@ -764,6 +795,31 @@ def test_model_tensor_out_of_memory_names_the_file(workdir):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"vlink: error: {path}: Unable to allocate ")
+
+
+def test_model_too_large_to_allocate_names_the_file(workdir, capsys):
+    # 3000**4 complex entries (1.15 PiB): numpy refuses the request at once.
+    path = workdir / "huge.json"
+    path.write_text('{"n": 3000, "entries": []}')
+    code, out, err = run(capsys, "eval", "--model", path, workdir / "loop.vld")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"vlink: error: {path}: Unable to allocate ")
+
+
+def test_output_into_a_closed_pipe_exits_quietly():
+    # The listing (about 100 KB) outgrows a pipe's buffer, so the child is
+    # still writing when its reader goes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vlink.cli", "enumerate", "--k", "4", "--max-vertices", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_loop_factor_overflow_is_input_error(workdir, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import vlink as vl
-from vlink.moves import MOVE_KINDS, kink_contraction, ybe_sides
+from vlink.moves import MOVE_KINDS
 
 from oracles import brute_move_sites, dfs_knot_components, reference_apply_move
 
@@ -53,17 +53,6 @@ def test_knot_counting_model_fails_kink_condition():
     assert report.residual_r3 < 1e-12  # products of A never reorder
     assert not report.passed
     assert report.pass_r3 and not report.pass_r1
-
-
-def test_kink_contraction_value():
-    a2 = kink_contraction(vl.knot_counting_model())
-    assert np.allclose(a2, np.array([[3.0, 2.0j], [2.0j, -1.0]]))
-
-
-def test_ybe_sides_shapes():
-    lhs, rhs = ybe_sides(vl.random_model(2, np.random.default_rng(0)))
-    assert lhs.shape == (8, 8)
-    assert rhs.shape == (8, 8)
 
 
 def test_random_models_generically_fail():
