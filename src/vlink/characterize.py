@@ -56,6 +56,7 @@ leaves the cache.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +220,16 @@ def kernel_residual(model: VertexModel, t: Tangle) -> float:
     return abs(qt_evaluate(model, qt_glue(det_tangle(m), QuantumTangle.of(t))))
 
 
+def _saturating(op, *args) -> float:
+    """``op(*args)``, or infinity where Python's float arithmetic raises
+    OverflowError (the abs of a finite complex, or a power, past the float
+    range), as numpy's would."""
+    try:
+        return op(*args)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class KernelReport:
     n: int
@@ -247,7 +258,8 @@ def kernel_probe(
     largest magnitude, which should be far from zero.  Control tangles have
     1 to max(1, ``max_vertices``) vertices: glued to a vertex-free one,
     det(n) gives a signed sum of powers of n whatever R is, so a model that
-    vanishes everywhere would still pass.
+    vanishes everywhere would still pass.  A NaN among the draws makes its
+    figure NaN, so the report fails whatever the order of the draws.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -258,11 +270,12 @@ def kernel_probe(
         for _ in range(samples):
             v = int(rng.integers(fewest, max(fewest, max_vertices) + 1))
             t = random_tangle(rng, 2 * m, v)
-            drawn.append((v, abs(qt_evaluate(model, qt_glue(det_tangle(m), QuantumTangle.of(t))))))
+            value = qt_evaluate(model, qt_glue(det_tangle(m), QuantumTangle.of(t)))
+            drawn.append((v, _saturating(abs, value)))
     kernel = drawn[:samples]
-    control = max(0.0, *(value for _, value in drawn[samples:]))
+    control = float(np.max([value for _, value in drawn[samples:]]))
     norm = model.norm
-    scaled = max(r / (1.0 + norm**v) for v, r in kernel)
+    scaled = float(np.max([r / (1.0 + _saturating(pow, norm, v)) for v, r in kernel]))
     return KernelReport(model.n, tuple(r for _, r in kernel), scaled, control)
 
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -194,8 +195,13 @@ def _verdict(args: argparse.Namespace, values: dict, passed: bool) -> int:
     """Print the named ``values`` and the verdict; 0 on pass, 2 on fail.
 
     Text prints a ``name value`` line per value, then ``pass`` or ``fail``;
-    csv and json-lines print one record that also holds ``passed``.
+    csv and json-lines print one record that also holds ``passed``.  A
+    value that is not finite prints nothing: it is a ValueError naming it,
+    as `vlink eval` refuses a value that overflowed.
     """
+    not_finite = [name for name, value in values.items() if not math.isfinite(value)]
+    if not_finite:
+        raise ValueError(f"not finite: {', '.join(not_finite)} (the evaluation overflowed)")
     lines = [f"{name} {_fmt(value)}" for name, value in values.items()]
     _emit(args, "\n".join([*lines, "pass" if passed else "fail"]), {**values, "passed": passed})
     return 0 if passed else 2
@@ -242,7 +248,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     model = _load_model_arg(args)
-    report = check_algebraic(model, tol=args.tol)
+    # An overflow is refused by _verdict, not warned about.
+    with np.errstate(all="ignore"):
+        report = check_algebraic(model, tol=args.tol)
     residuals = {"r1": report.residual_r1, "r2": report.residual_r2, "r3": report.residual_r3}
     return _verdict(args, residuals, report.passed)
 
@@ -260,13 +268,24 @@ def _cmd_moves(args: argparse.Namespace) -> int:
     for _ in range(args.count):
         pick = int(rng.integers(len(diagrams)))
         g = diagrams[pick]
-        f_before = partition_function(model, g)
+        # An overflow is refused below, not warned about.
+        with np.errstate(all="ignore"):
+            f_before = partition_function(model, g)
+            try:
+                _, moved = random_move(g, rng)
+            except ValueError as exc:
+                raise ValueError(f"{args.paths[pick]}: {exc}") from exc
+            f_after = partition_function(model, moved)
         try:
-            _, moved = random_move(g, rng)
-        except ValueError as exc:
-            raise ValueError(f"{args.paths[pick]}: {exc}") from exc
-        delta = abs(partition_function(model, moved) - f_before)
-        worst = max(worst, delta / (1.0 + abs(f_before)))
+            scaled = abs(f_after - f_before) / (1.0 + abs(f_before))
+        except OverflowError:  # the abs of a finite complex past the float range
+            scaled = math.inf
+        if not math.isfinite(scaled):
+            raise ValueError(
+                f"{args.paths[pick]}: f or its change under a move is not finite"
+                " (the evaluation overflowed)"
+            )
+        worst = max(worst, scaled)
     return _verdict(args, {"applied": args.count, "max_scaled_delta": worst}, worst <= args.tol)
 
 
@@ -278,7 +297,9 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     else:
         _refuse_unread(args, ("symmetrize",), "with --model")
         model = random_model(2 if args.n is None else args.n, rng)
-    report = kernel_probe(model, args.samples, args.max_vertices, rng)
+    # An overflow is refused by _verdict, not warned about.
+    with np.errstate(all="ignore"):
+        report = kernel_probe(model, args.samples, args.max_vertices, rng)
     values = {
         "max_scaled_residual": report.max_scaled_residual,
         "negative_control": report.negative_control,

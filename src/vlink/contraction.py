@@ -63,7 +63,10 @@ n in the tangle's instance dict, outside its equality, hash and repr.  A
 plan so lives exactly as long as its tangle, and nothing bounds or evicts
 it.  The tangles that are evaluated again (a Gram basis, a move chain's
 current diagram) are the ones their callers hold; an equal tangle built
-anew is planned anew, to the same plan.
+anew is planned anew, to the same plan.  A diagram also keeps its value
+under the last model, beside a weak reference to that model (see
+`model.partition_function`); a call served from it looks up no plan and
+so counts no hit in `plan_cache_info`.
 """
 
 from __future__ import annotations
@@ -211,7 +214,9 @@ def _state_count(n: object) -> int:
 def plan_cache_info() -> CacheInfo:
     """Hits and misses of `plan_contraction` since import: a miss made the
     tangle's plan at n, a hit found it already made.  Plans are kept on
-    their tangles, so size and bound are None."""
+    their tangles, so size and bound are None.  A `partition_function`
+    call served from a diagram's kept value plans nothing and counts
+    nothing."""
     return CacheInfo(_hits, _misses, None, None)
 
 

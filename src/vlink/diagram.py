@@ -127,6 +127,13 @@ class Tangle:
             f"loops={self.loop_count}, edges={sorted(self.edges)!r})"
         )
 
+    def __getstate__(self) -> dict:
+        """The instance dict less the value `partition_function` keeps: its
+        weak reference to a model neither pickles nor copies."""
+        state = dict(self.__dict__)
+        state.pop("_value", None)
+        return state
+
 
 _first, _second = operator.itemgetter(0), operator.itemgetter(1)
 

@@ -216,6 +216,30 @@ def test_kernel_probe_fails_when_its_control_vanishes():
     assert not report.passed(tol=1.0)
 
 
+@pytest.mark.parametrize(
+    "at, bad",  # draws 0-7 are residuals, 8-15 controls
+    [(3, complex("nan")), (12, complex("nan")), (3, complex(1.5e308, 1.5e308))],
+)
+def test_a_draw_that_is_nan_or_past_the_float_range_fails_the_kernel_probe(monkeypatch, at, bad):
+    # Python's max keeps a finite value that comes before a NaN, so a NaN
+    # drawn after a finite one gave a passing report; Python's abs of a
+    # finite complex past the float range raised OverflowError.
+    model = vl.knot_counting_model()
+    assert vl.kernel_probe(model, 8, 2, np.random.default_rng(0)).passed()
+    calls = itertools.count()
+    evaluate = vlink.characterize.qt_evaluate
+
+    def one_bad(model, qt):
+        value = evaluate(model, qt)
+        return bad if next(calls) == at else value
+
+    monkeypatch.setattr(vlink.characterize, "qt_evaluate", one_bad)
+    report = vl.kernel_probe(model, 8, 2, np.random.default_rng(0))
+    assert next(calls) == 16
+    figure = report.max_scaled_residual if at < 8 else report.negative_control
+    assert not np.isfinite(figure) and not report.passed(tol=1.0)
+
+
 def _written_out_kernel_probe(model, samples, max_vertices, rng):
     """`kernel_probe` as two loops: the residual tangles, with 0 to
     ``max_vertices`` vertices, are drawn from ``rng`` first, then the control

@@ -456,6 +456,39 @@ def test_verdict_bytes_and_exit_codes_are_pinned(workdir, capsys):
             assert run(capsys, *argv, "--format", fmt) == (code, expected, ""), (argv, fmt)
 
 
+def test_verdicts_that_overflow_are_input_errors(workdir, capsys):
+    # A figure that is not finite prints no verdict, as eval prints no value:
+    # moves used to pass (max of NaN deltas kept 0), check and kernel printed
+    # inf or nan with numpy warnings.  A 1-state model of entry 1e120 made
+    # kernel's 1 + |R|^v raise OverflowError; one of modulus 1.4e154 at
+    # angle pi/8 gives a finite f whose abs raises OverflowError.
+    two = workdir / "two.vld"
+    two.write_text("x v1 a b c d\nx v2 c d a b\n")
+    models = {
+        "huge": np.full((2,) * 4, 1e200, dtype=complex),
+        "big": np.full((1,) * 4, 1e120, dtype=complex),
+        "edge": np.full((1,) * 4, 1.4e154 * np.exp(1j * np.pi / 8)),
+    }
+    for name, entries in models.items():
+        vl.save_model(vl.VertexModel(len(entries), entries), str(workdir / f"{name}.json"))
+    overflowed = " (the evaluation overflowed)"
+    moves = f"{two}: f or its change under a move is not finite" + overflowed
+    kernel = "not finite: max_scaled_residual, negative_control" + overflowed
+    cases = [
+        (["moves", "--model", workdir / "huge.json", "test", two, "--count", "5"], moves),
+        (["moves", "--model", workdir / "edge.json", "test", two, "--count", "5"], moves),
+        (["check", "--model", workdir / "huge.json"], "not finite: r1, r2, r3" + overflowed),
+        (["kernel", "--model", workdir / "huge.json", "--samples", "5"], kernel),
+        (["kernel", "--model", workdir / "big.json", "--samples", "5"], kernel),
+    ]
+    for argv, message in cases:
+        for fmt in ("text", "csv", "json-lines"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = run(capsys, *argv, "--format", fmt)
+            assert result == (1, "", f"vlink: error: {message}\n"), (argv, fmt)
+
+
 # ---------------------------------------------------------------------------
 # gram
 

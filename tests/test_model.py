@@ -1,12 +1,17 @@
+import copy
+import gc
 import json
 import os
+import pickle
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import vlink as vl
+import vlink.model
 
 from vlink.cli import main
 from vlink.model import MODEL_CACHE_BOUND
@@ -185,6 +190,86 @@ def test_apply_orthogonal_rejects_non_orthogonal():
 def test_partition_function_rejects_open_tangles():
     with pytest.raises(ValueError, match="diagram"):
         vl.partition_function(vl.transmission_model(2), vl.strand_tangle())
+
+
+def _count_tangle_tensor(monkeypatch) -> list:
+    """The tangles that `tangle_tensor` evaluates from here on."""
+    calls = []
+    evaluate = vlink.model.tangle_tensor
+
+    def counted(model, t):
+        calls.append(t)
+        return evaluate(model, t)
+
+    monkeypatch.setattr(vlink.model, "tangle_tensor", counted)
+    return calls
+
+
+def _bits(z: complex) -> bytes:
+    return np.complex128(z).tobytes()
+
+
+def _fresh(model, g) -> complex:
+    """f of an equal diagram built anew, which keeps no value yet."""
+    return vl.partition_function(model, vl.parse_tangle(vl.serialize_tangle(g)))
+
+
+def test_a_diagram_keeps_its_value_under_the_same_model_object(monkeypatch):
+    rng = np.random.default_rng(5)
+    model, g = vl.random_model(2, rng), vl.random_tangle(rng, 0, 6, 1)
+    calls = _count_tangle_tensor(monkeypatch)
+    first = vl.partition_function(model, g)
+    assert _bits(vl.partition_function(model, g)) == _bits(first)
+    assert calls == [g]
+    # An equal but distinct model, and a perturbed one, evaluate afresh.
+    twin = vl.VertexModel(model.n, model.entries)
+    assert _bits(vl.partition_function(twin, g)) == _bits(first) and len(calls) == 2
+    nudged = model.perturbed(model, 1e-3)
+    assert vl.partition_function(nudged, g) != first and len(calls) == 3
+    assert _bits(vl.partition_function(nudged, g)) == _bits(_fresh(nudged, g))
+    assert len(calls) == 4  # the fresh diagram; g kept nudged's value
+
+
+def test_models_used_in_turn_each_evaluate_afresh(monkeypatch):
+    rng = np.random.default_rng(6)
+    models = [vl.random_model(2, rng) for _ in range(2)]
+    g = vl.random_tangle(rng, 0, 5)
+    expected = [_fresh(model, g) for model in models]
+    calls = _count_tangle_tensor(monkeypatch)
+    for turn in range(6):
+        assert _bits(vl.partition_function(models[turn % 2], g)) == _bits(expected[turn % 2])
+    assert calls == [g] * 6
+
+
+def test_a_kept_value_keeps_neither_its_model_nor_its_diagram_alive(monkeypatch):
+    rng = np.random.default_rng(7)
+    model, g = vl.random_model(2, rng), vl.random_tangle(rng, 0, 4)
+    value = vl.partition_function(model, g)
+    model_ref, g_ref = weakref.ref(model), weakref.ref(g)
+    entries = model.entries
+    del model
+    gc.collect()
+    assert model_ref() is None and g_ref() is g
+    # A new model, even one equal to the one gone, evaluates afresh.
+    calls = _count_tangle_tensor(monkeypatch)
+    assert _bits(vl.partition_function(vl.VertexModel(2, entries), g)) == _bits(value)
+    assert calls == [g]
+    calls.clear()
+    del g
+    gc.collect()
+    assert g_ref() is None
+
+
+def test_evaluated_diagrams_pickle_and_copy():
+    rng = np.random.default_rng(8)
+    model, g = vl.random_model(3, rng), vl.random_tangle(rng, 0, 5, 2)
+    value = vl.partition_function(model, g)
+    copies = [pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)]
+    for twin in copies:
+        assert twin is not g and twin == g and hash(twin) == hash(g)
+        assert "_value" not in vars(twin) and "_plans" in vars(twin)
+        assert _bits(vl.partition_function(model, twin)) == _bits(value)
+    assert "_value" in vars(g)
 
 
 def test_tangle_tensor_strand_is_identity():
