@@ -290,8 +290,17 @@ class GramReport:
     min_eigenvalue: float
 
     def passed(self, tol: float = 1e-8) -> bool:
-        scale = 1.0 + float(np.linalg.norm(self.gram))
-        return self.min_eigenvalue >= -tol * scale
+        """The least eigenvalue is at least -``tol`` times 1 + the Gram's
+        Frobenius norm.  Where every entry is finite but the sum of their
+        squares overflows, both sides are taken in units of the largest
+        real or imaginary part, since an infinite scale would pass any
+        Gram."""
+        norm = float(np.linalg.norm(self.gram))
+        if norm == math.inf:
+            top = max(float(np.abs(self.gram.real).max()), float(np.abs(self.gram.imag).max()))
+            norm = float(np.linalg.norm(self.gram / top))
+            return self.min_eigenvalue / top >= -tol * (1.0 / top + norm)
+        return self.min_eigenvalue >= -tol * (1.0 + norm)
 
 
 def basis_cache_info() -> CacheInfo:
@@ -358,7 +367,8 @@ def _basis_gram(
 ) -> tuple[tuple[Tangle, ...], np.ndarray, np.ndarray]:
     """The enumerated basis, its tensors as rows, and their Gram matrix
     ``rows @ rows.T``.  The basis is never empty, so neither is the matrix.
-    A Gram above `GRAM_BYTES_BOUND` bytes is a ValueError."""
+    A Gram above `GRAM_BYTES_BOUND` bytes is a ValueError, and so is one
+    that is not finite."""
     basis = _basis(arity, max_vertices)
     n = model.n
     nbytes = 16 * len(basis) ** 2
@@ -378,10 +388,18 @@ def _basis_gram(
         if programs is None:
             programs = basis.programs[n] = _Programs(basis, arity, n)
         programs.fill(model, rows)
-        return basis, rows, np.matmul(rows, rows.T, out=gram)
+        np.matmul(rows, rows.T, out=gram)
     except MemoryError:
         _basis.cache_clear()  # keep no basis, nor its tables, whose Gram does not fit
         raise
+    # A row entry that is not finite makes its diagonal entry not finite, so
+    # this one check also covers the rows.
+    if not np.isfinite(gram).all():
+        raise ValueError(
+            f"the Gram of {len(basis)} basis tangles (arity {arity}, max_vertices "
+            f"{max_vertices}) is not finite (the evaluation overflowed)"
+        )
+    return basis, rows, gram
 
 
 def _rank(a: np.ndarray, rel_tol: float) -> int:
@@ -399,7 +417,8 @@ def gram_psd(model: VertexModel, max_vertices: int) -> GramReport:
     model's tensors are honest real partition-function data.
 
     Entries are pair(f(T), f(T')), equal to f(T . T') by the pairing
-    identity.
+    identity.  A Gram that is not finite (the model's values overflowed) is
+    a ValueError naming the basis, raised before any eigenvalue is taken.
     """
     if not model.is_real:
         raise ValueError("gram_psd needs a real model")
@@ -415,7 +434,8 @@ def nondegeneracy_probe(model: VertexModel, arity: int, max_vertices: int) -> tu
     Ranks count singular values at or above 1e-8 times the largest.
     Equality certifies the pairing is nondegenerate on the span; real models
     always pass, while complex models can drop Gram rank on isotropic
-    directions.
+    directions.  A Gram that is not finite (the model's values overflowed)
+    is a ValueError naming the basis, raised before any rank is taken.
     """
     _, rows, gram = _basis_gram(model, arity, max_vertices)
     return _rank(gram, 1e-8), _rank(rows, 1e-8)

@@ -142,7 +142,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        # Every figure a command prints or judges is checked to be finite,
+        # and one that is not is refused by name (exit 1), so numpy's
+        # overflow and invalid-value warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            return _dispatch(args)
     except BrokenPipeError:
         # Downstream consumer (e.g. `head`) closed stdout; exit quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -210,16 +214,14 @@ def _verdict(args: argparse.Namespace, values: dict, passed: bool) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     model = _load_model_arg(args)
     for path in args.paths:
-        # An overflow is reported below, once per path, not warned about.
-        with np.errstate(all="ignore"):
-            if path.endswith(".qtl"):
-                value = qt_evaluate(model, load_quantum_tangle(path))
+        if path.endswith(".qtl"):
+            value = qt_evaluate(model, load_quantum_tangle(path))
+        else:
+            tangle = load_tangle(path)
+            if tangle.arity:
+                value = tangle_tensor(model, tangle)
             else:
-                tangle = load_tangle(path)
-                if tangle.arity:
-                    value = tangle_tensor(model, tangle)
-                else:
-                    value = partition_function(model, tangle)
+                value = partition_function(model, tangle)
         if not np.isfinite(value.values if isinstance(value, TangleTensor) else value).all():
             raise ValueError(f"{path}: value is not finite (the evaluation overflowed)")
         if isinstance(value, TangleTensor):
@@ -248,9 +250,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     model = _load_model_arg(args)
-    # An overflow is refused by _verdict, not warned about.
-    with np.errstate(all="ignore"):
-        report = check_algebraic(model, tol=args.tol)
+    report = check_algebraic(model, tol=args.tol)
     residuals = {"r1": report.residual_r1, "r2": report.residual_r2, "r3": report.residual_r3}
     return _verdict(args, residuals, report.passed)
 
@@ -268,14 +268,12 @@ def _cmd_moves(args: argparse.Namespace) -> int:
     for _ in range(args.count):
         pick = int(rng.integers(len(diagrams)))
         g = diagrams[pick]
-        # An overflow is refused below, not warned about.
-        with np.errstate(all="ignore"):
-            f_before = partition_function(model, g)
-            try:
-                _, moved = random_move(g, rng)
-            except ValueError as exc:
-                raise ValueError(f"{args.paths[pick]}: {exc}") from exc
-            f_after = partition_function(model, moved)
+        f_before = partition_function(model, g)
+        try:
+            _, moved = random_move(g, rng)
+        except ValueError as exc:
+            raise ValueError(f"{args.paths[pick]}: {exc}") from exc
+        f_after = partition_function(model, moved)
         try:
             scaled = abs(f_after - f_before) / (1.0 + abs(f_before))
         except OverflowError:  # the abs of a finite complex past the float range
@@ -297,9 +295,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     else:
         _refuse_unread(args, ("symmetrize",), "with --model")
         model = random_model(2 if args.n is None else args.n, rng)
-    # An overflow is refused by _verdict, not warned about.
-    with np.errstate(all="ignore"):
-        report = kernel_probe(model, args.samples, args.max_vertices, rng)
+    report = kernel_probe(model, args.samples, args.max_vertices, rng)
     values = {
         "max_scaled_residual": report.max_scaled_residual,
         "negative_control": report.negative_control,

@@ -13,8 +13,8 @@ and are joined by outer products.
 Axis ids: internal edges get nonnegative integers (their position in the
 sorted edge list), the axis feeding leg ``l`` gets id ``-l``.  Edges joining
 two legs contribute an identity-matrix node so that the open output axes are
-always exactly ``-1..-k``; every such node reads one read-only identity per
-n, and a plan without merges returns a copy of its one node.
+always exactly ``-1..-k``; every such node gets a fresh identity, and a
+plan without merges returns a copy of its one node.
 
 The planner holds each node's open axes as one integer bit mask (an
 internal edge's bit is its axis id, the legs' bits follow), so a pair's
@@ -110,10 +110,6 @@ _SEARCH_SEED = 0
 _POOL_MIN = 1 << 13
 _POOL_PER_SIZE = 2
 _POOL_BYTES = 32 << 20
-
-#: State counts whose read-only identity matrix execute_plan keeps for
-#: leg-to-leg edges, least recently used first out.
-_IDENTITY_CACHE_BOUND = 16
 
 #: The dtype execute_plan runs vertex tensors in.
 _COMPLEX = np.dtype(complex)
@@ -442,15 +438,6 @@ class _Pool:
 _POOL = _Pool()
 
 
-@functools.lru_cache(maxsize=_IDENTITY_CACHE_BOUND)
-def _identity(n: int) -> np.ndarray:
-    """The n x n complex identity, read-only: one per n, shared by every
-    plan's leg-to-leg edges."""
-    eye = np.eye(n, dtype=complex)
-    eye.flags.writeable = False
-    return eye
-
-
 def execute_plan(entries: np.ndarray, n: int, t: Tangle, plan: ContractionPlan) -> np.ndarray:
     """Contract ``t`` with vertex tensor ``entries``, taken as complex;
     returns the open tensor over legs 1..k in label order (a 0-d array for
@@ -464,7 +451,7 @@ def execute_plan(entries: np.ndarray, n: int, t: Tangle, plan: ContractionPlan) 
     if entries.dtype is not _COMPLEX:  # the check is cheaper than np.asarray
         entries = np.asarray(entries, dtype=complex)
     arrays = [
-        _identity(n) if spec is None else (np.einsum(spec, entries) if spec else entries)
+        np.eye(n, dtype=complex) if spec is None else (np.einsum(spec, entries) if spec else entries)
         for spec in c.init
     ]
     # A merge result of at least _POOL_MIN entries is written into a buffer
@@ -489,8 +476,8 @@ def execute_plan(entries: np.ndarray, n: int, t: Tangle, plan: ContractionPlan) 
     if not arrays:
         return np.array(1.0 + 0j)
     if not c.steps:
-        # The one node may be the shared identity or the caller's vertex
-        # tensor, so return a copy of it.
+        # The one node may be the caller's vertex tensor, so return a copy
+        # of it.
         return np.array(np.transpose(arrays[0], c.transpose), order="C")
     if c.transpose:
         return np.ascontiguousarray(np.transpose(arrays[0], c.transpose))

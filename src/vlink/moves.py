@@ -24,6 +24,7 @@ vanishing of the evaluated move tangles are literally the same statement.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -418,15 +419,23 @@ def find_move_witness(
     Scans every site of every kind over the given diagrams until the change
     exceeds 1e-6; returns None if the first 2,000 moves, or all of them if
     fewer, preserve f.  Each diagram's vertices are scanned once, and only
-    the sites it rewrites are built.
+    the sites it rewrites are built.  An f before or after a move that is
+    not finite (the model's values overflowed) is a ValueError naming the
+    diagram's index in ``diagrams``: no change of it can be measured.
     """
     checked = 0
-    for g in diagrams:
+    for index, g in enumerate(diagrams):
         f_before = partition_function(model, g)
         table = _SiteTable(g)
         for kind in MOVE_KINDS:
             for site in table.sites(kind):
-                delta = abs(partition_function(model, apply_move(g, site)) - f_before)
+                f_after = partition_function(model, apply_move(g, site))
+                if not (cmath.isfinite(f_before) and cmath.isfinite(f_after)):
+                    raise ValueError(
+                        f"diagrams[{index}]: f or its value after a move is not finite"
+                        " (the evaluation overflowed)"
+                    )
+                delta = abs(f_after - f_before)
                 if delta > 1e-6:
                     return g, site, delta
                 checked += 1

@@ -312,6 +312,33 @@ def test_gram_zero_model_still_psd():
     assert report.passed()
 
 
+def test_a_gram_that_overflowed_is_refused_naming_its_basis():
+    # Two vertices of 1e200 overflow: the Gram holds inf and NaN, which made
+    # eigvalsh fail with "Eigenvalues did not converge".  Library callers own
+    # their numpy warnings, so the overflow itself is not warned about here.
+    model = vl.VertexModel(2, np.full((2,) * 4, 1e200))
+    message = r"Gram of 60 basis tangles \(arity 4, max_vertices 1\) is not finite"
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=message):
+            vl.gram_psd(model, max_vertices=1)
+        with pytest.raises(ValueError, match=message):
+            vl.nondegeneracy_probe(model, 4, max_vertices=1)
+
+
+def test_a_gram_whose_norm_overflows_is_still_judged():
+    # Entries near 1e161 are finite, but the sum of their squares is not:
+    # an infinite scale passed any Gram, the negated one too.
+    model = vl.random_model(2, np.random.default_rng(0), real=True)
+    big = vl.VertexModel(2, model.entries * 1e80)
+    with np.errstate(all="ignore"):
+        report = vl.gram_psd(big, max_vertices=1)
+        assert np.linalg.norm(report.gram) == np.inf
+        assert report.passed()
+        negated = -report.gram
+        least = float(np.linalg.eigvalsh(negated.real).min())
+        assert not vl.GramReport(report.basis, negated, least).passed()
+
+
 def test_nondegeneracy_probe_ranks_agree():
     for arity in (2, 4):
         model = vl.random_model(2, np.random.default_rng(41), real=True)

@@ -459,7 +459,8 @@ def test_verdict_bytes_and_exit_codes_are_pinned(workdir, capsys):
 def test_verdicts_that_overflow_are_input_errors(workdir, capsys):
     # A figure that is not finite prints no verdict, as eval prints no value:
     # moves used to pass (max of NaN deltas kept 0), check and kernel printed
-    # inf or nan with numpy warnings.  A 1-state model of entry 1e120 made
+    # inf or nan with numpy warnings, and gram failed in eigvalsh after two
+    # numpy warnings, naming neither.  A 1-state model of entry 1e120 made
     # kernel's 1 + |R|^v raise OverflowError; one of modulus 1.4e154 at
     # angle pi/8 gives a finite f whose abs raises OverflowError.
     two = workdir / "two.vld"
@@ -474,18 +475,21 @@ def test_verdicts_that_overflow_are_input_errors(workdir, capsys):
     overflowed = " (the evaluation overflowed)"
     moves = f"{two}: f or its change under a move is not finite" + overflowed
     kernel = "not finite: max_scaled_residual, negative_control" + overflowed
+    gram = "the Gram of 60 basis tangles (arity 4, max_vertices 1) is not finite" + overflowed
     cases = [
         (["moves", "--model", workdir / "huge.json", "test", two, "--count", "5"], moves),
         (["moves", "--model", workdir / "edge.json", "test", two, "--count", "5"], moves),
         (["check", "--model", workdir / "huge.json"], "not finite: r1, r2, r3" + overflowed),
         (["kernel", "--model", workdir / "huge.json", "--samples", "5"], kernel),
         (["kernel", "--model", workdir / "big.json", "--samples", "5"], kernel),
+        (["gram", "--model", workdir / "huge.json", "--max-vertices", "1"], gram),
     ]
     for argv, message in cases:
-        for fmt in ("text", "csv", "json-lines"):
+        # gram takes no --format, so it runs once.
+        for fmt in ((None,) if argv[0] == "gram" else ("text", "csv", "json-lines")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                result = run(capsys, *argv, "--format", fmt)
+                result = run(capsys, *argv, *(("--format", fmt) if fmt else ()))
             assert result == (1, "", f"vlink: error: {message}\n"), (argv, fmt)
 
 

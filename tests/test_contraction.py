@@ -80,9 +80,9 @@ def test_leg_to_leg_edge_gives_identity():
 
 
 def test_plans_without_merges_return_fresh_writable_arrays():
-    # Leg-to-leg edges share one read-only identity per n, and a plan with
-    # no merges returns its one node: a copy of the identity, or of the
-    # vertex tensor, that the caller may write to.
+    # A leg-to-leg edge gets a fresh identity, and a plan with no merges
+    # returns its one node: an identity, or a copy of the vertex tensor,
+    # that the caller may write to.
     entries = vl.random_model(3, np.random.default_rng(24)).entries
     for t in (vl.strand_tangle(), vl.parse_tangle("x v1 a b c d\nleg 1 a\nleg 2 b\nleg 3 c\nleg 4 d")):
         plan = plan_contraction(t, 3)

@@ -468,6 +468,19 @@ def test_witness_found_for_failing_model(corpus):
     assert abs(change - delta) < 1e-12
 
 
+def test_witness_search_refuses_values_that_overflowed():
+    # Under the all-1e200 model every f is inf or NaN, so every change is
+    # abs(nan) and nan > 1e-6 is False: the search used to report no
+    # witness for a model that fails the move conditions.
+    model = vl.VertexModel(2, np.full((2,) * 4, 1e200))
+    # The empty diagram has no move site, so the second diagram is the one named.
+    empty, g = vl.parse_tangle(""), vl.parse_tangle("x v1 a b c d\nx v2 c d a b")
+    assert not _all_sites(empty)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=r"^diagrams\[1\]: .* not finite"):
+            vl.find_move_witness(model, [empty, g])
+
+
 def _record_rewrites(monkeypatch) -> list[vl.MoveSite]:
     """The sites `find_move_witness` rewrites, in order."""
     applied = []
