@@ -69,7 +69,8 @@ def glue(t: Tangle, u: Tangle) -> Tangle:
 
     Edges touching no leg pass straight through, so the cost is one pass
     over both edge sets plus a walk over the k legs; the result is validated
-    once, as a diagram.
+    once, as a diagram.  Only the four fields of each side are read, so
+    the unvalidated cut of a move rewrite (`moves._Cut`) glues as a tangle.
     """
     if t.arity != u.arity:
         raise ValueError(f"arity mismatch: cannot glue a {t.arity}-tangle to a {u.arity}-tangle")

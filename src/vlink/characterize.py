@@ -423,7 +423,14 @@ def gram_psd(model: VertexModel, max_vertices: int) -> GramReport:
     if not model.is_real:
         raise ValueError("gram_psd needs a real model")
     basis, _, gram = _basis_gram(model, 4, max_vertices)
-    sym = (gram.real + gram.real.T) / 2.0
+    # The mean of a finite pair past half the float range overflows as
+    # (a + b) / 2, so just those entries are halved before adding.
+    real = gram.real
+    with np.errstate(over="ignore"):
+        sym = real + real.T
+    wide = ~np.isfinite(sym)
+    sym /= 2.0
+    sym[wide] = real[wide] / 2.0 + real.T[wide] / 2.0
     eigs = np.linalg.eigvalsh(sym)
     return GramReport(basis, gram, float(eigs.min()))
 

@@ -21,8 +21,9 @@ internal edge's bit is its axis id, the legs' bits follow), so a pair's
 arity is the bit count of the two masks' xor.  Each node keeps its best
 partner: the least (arity, id) among the later nodes.  The least of these
 rows is the next merge, and a merge recomputes only the rows it can
-change.  A plan for a closed diagram of 12-20 vertices takes about 0.2 ms
-on a 2.1 GHz Xeon, one for a tangle of at most 5 vertices tens of µs.
+change.  A greedy plan for a closed diagram of 12-20 vertices takes about
+0.17 ms on a 2.1 GHz Xeon, one for a tangle of at most 5 vertices tens of
+µs.
 
 How a plan is chosen: `plan_contraction` plans a tangle at a state count
 n, the one `model.tangle_tensor` passes.  The greedy plan stands unless its
@@ -42,7 +43,7 @@ vertices, n=3 and 4) the search cuts total multiply-adds to 0.28-0.50 of
 greedy's, and the largest intermediate from 16 MiB (256 MiB on seed 6) to
 1 MiB.
 
-A plan is compiled when it is made: besides the merge order it holds, for
+A plan is compiled when it is made: besides the merge pairs it holds, for
 each initial node in id order, whether it is an identity matrix, the vertex
 tensor, or the vertex tensor with its self-loops traced (an einsum
 subscript); for each merge, the nodes' positions in that order and what
@@ -57,7 +58,11 @@ bit-identical to ``tensordot``'s.  A merge result of at least
 bounded free list, so that it is not mapped and page-faulted afresh on
 every call; the buffer goes back to the list once the merge that reads
 it has run, and the one under a returned array never does.  Operand
-copies are numpy's own, made by reshape where it must copy.
+copies are numpy's own, made by reshape where it must copy.  Besides the
+compiled replay, a plan keeps only each initial node's axis bit mask and
+the sorted-edge index of each leg-to-leg edge: its `ContractionStep` list
+(``steps``) and ``peak_arity``, which nothing on the evaluation path
+reads, are derived from those and the merge pairs on first read, and kept.
 A tangle keeps its plans: `plan_contraction` stores the plan made at each
 n in the tangle's instance dict, outside its equality, hash and repr.  A
 plan so lives exactly as long as its tangle, and nothing bounds or evicts
@@ -77,7 +82,7 @@ import operator
 import random
 import string
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -138,13 +143,52 @@ class _Compiled(NamedTuple):
     transpose: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ContractionPlan:
-    """Ordered pairwise merges; every internal edge is contracted exactly once."""
+    """Ordered pairwise merges; every internal edge is contracted exactly once.
 
-    steps: tuple[ContractionStep, ...]
-    peak_arity: int
-    compiled: _Compiled = field(compare=False, repr=False)
+    A plan holds what `execute_plan` replays (``compiled``) and what its
+    merges were compiled from: the (kept, merged) node id pairs, each
+    initial node's axis bit mask, and the sorted-edge index of each
+    leg-to-leg edge, whose identity nodes take the first ids.  ``steps``
+    and ``peak_arity`` are derived from these on first read and kept;
+    equality, hash and repr are those of the two.
+    """
+
+    compiled: _Compiled
+    _merges: tuple[tuple[int, int], ...]
+    _masks: tuple[int, ...]
+    _leg_edges: tuple[int, ...]
+
+    @functools.cached_property
+    def steps(self) -> tuple[ContractionStep, ...]:
+        """One `ContractionStep` per merge, in merge order."""
+        keys = [("m", idx) for idx in self._leg_edges]
+        keys += [("v", v) for v in range(self.compiled.num_vertices)]
+        masks = list(self._masks)
+        steps = []
+        for i, j in self._merges:
+            shared = masks[i] & masks[j]
+            masks[i] ^= masks[j]
+            steps.append(ContractionStep(keys[i], keys[j], tuple(_bits(shared)), masks[i].bit_count()))
+        return tuple(steps)
+
+    @functools.cached_property
+    def peak_arity(self) -> int:
+        """The most open axes of any node, initial or merged."""
+        arities = [mask.bit_count() for mask in self._masks]
+        return max(arities + [step.result_arity for step in self.steps], default=0)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.steps, self.peak_arity) == (other.steps, other.peak_arity)
+
+    def __hash__(self) -> int:
+        return hash((self.steps, self.peak_arity))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(steps={self.steps!r}, peak_arity={self.peak_arity!r})"
 
     def madds(self, n: int) -> int:
         """Multiply-adds of the merges at state count ``n``: the sum over
@@ -221,7 +265,7 @@ def _search(nodes: _Nodes, bits: int, n: int, best: int) -> list[tuple[int, int]
     shuffled orders of ``nodes`` find, if it costs less than ``best``, the
     greedy plan's multiply-adds."""
     rng = random.Random(_SEARCH_SEED)
-    order = list(range(len(nodes.keys)))
+    order = list(range(len(nodes.masks)))
     found = None
     tried = 0
     while tried < _SEARCH_PASSES and tried * _SEARCH_MADDS < best:
@@ -234,11 +278,11 @@ def _search(nodes: _Nodes, bits: int, n: int, best: int) -> list[tuple[int, int]
 
 
 class _Nodes(NamedTuple):
-    """A tangle's initial nodes in id order: ("m", edge index) identity
-    nodes for leg-to-leg edges, then ("v", vertex).  Axis bits: an internal
-    edge's bit is its axis id, leg l's bit is ``legs_at + l - 1``."""
+    """A tangle's initial nodes in id order: an identity node per leg-to-leg
+    edge, then one per vertex.  Axis bits: an internal edge's bit is its
+    axis id, leg l's bit is ``legs_at + l - 1``."""
 
-    keys: list[tuple]
+    leg_edges: list[int]  # the sorted-edge index of each leg-to-leg edge
     axes: list[list[int]]  # each node's axis bits in its tensor's axis order
     masks: list[int]  # each node's axis bits as one int
     init: list[str | None]
@@ -249,7 +293,7 @@ class _Nodes(NamedTuple):
         edges = sorted(t.edges)
         legs_at = len(edges)
         slots = [[0, 0, 0, 0] for _ in range(t.num_vertices)]
-        keys: list[tuple] = []
+        leg_edges: list[int] = []
         axes: list[list[int]] = []
         masks: list[int] = []
         for idx, ((va, la), (vb, lb)) in enumerate(edges):
@@ -259,12 +303,11 @@ class _Nodes(NamedTuple):
             elif vb != LEG:
                 slots[vb][lb] = legs_at + la - 1
             else:
-                keys.append(("m", idx))
+                leg_edges.append(idx)
                 axes.append([legs_at + la - 1, legs_at + lb - 1])
                 masks.append(1 << legs_at + la - 1 | 1 << legs_at + lb - 1)
-        init: list[str | None] = [None] * len(keys)
-        for v, ids in enumerate(slots):
-            keys.append(("v", v))
+        init: list[str | None] = [None] * len(leg_edges)
+        for ids in slots:
             a, b, c, d = ids
             mask = 1 << a ^ 1 << b ^ 1 << c ^ 1 << d  # a self-loop's two bits cancel
             masks.append(mask)
@@ -275,7 +318,7 @@ class _Nodes(NamedTuple):
             spec, kept = _self_loops(tuple(map(ids.index, ids)))
             axes.append([ids[s] for s in kept])
             init.append(spec)
-        return cls(keys, axes, masks, init, legs_at)
+        return cls(leg_edges, axes, masks, init, legs_at)
 
 
 @functools.cache
@@ -361,28 +404,28 @@ def _relabel(merges: list[tuple[int, int]], order: list[int]) -> list[tuple[int,
     return out
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, least first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _compile(t: Tangle, nodes: _Nodes, merges: list[tuple[int, int]]) -> ContractionPlan:
     """The plan merging ``nodes`` in the order ``merges``, each pair (i, j)
     with i < j merging node j into node i."""
-    keys = nodes.keys
     axes_of = list(nodes.axes)  # a merge replaces its slot's list, never edits it
     masks = list(nodes.masks)
-    peak = max(map(len, axes_of), default=0)
-    steps = []
     compiled_steps = []
     for i, j in merges:
         shared = masks[i] & masks[j]
-        contracted = []
-        rest = shared
-        while rest:
-            low = rest & -rest
-            contracted.append(low.bit_length() - 1)
-            rest ^= low
+        contracted = _bits(shared)
         left, right = axes_of[i], axes_of[j]
         free_left = [x for x in left if not shared >> x & 1]
         free_right = [x for x in right if not shared >> x & 1]
-        arity = len(free_left) + len(free_right)
-        steps.append(ContractionStep(keys[i], keys[j], tuple(contracted), arity))
         compiled_steps.append(
             (
                 i,
@@ -394,7 +437,6 @@ def _compile(t: Tangle, nodes: _Nodes, merges: list[tuple[int, int]]) -> Contrac
                 len(free_right),
             )
         )
-        peak = max(peak, arity)
         axes_of[i] = free_left + free_right
         masks[i] ^= masks[j]
 
@@ -405,7 +447,7 @@ def _compile(t: Tangle, nodes: _Nodes, merges: list[tuple[int, int]]) -> Contrac
         raise AssertionError(f"contraction left unexpected open axes {ids}")
     transpose = tuple(final.index(legs_at + l) for l in range(t.arity))
     compiled = _Compiled(t.num_vertices, t.arity, tuple(nodes.init), tuple(compiled_steps), transpose)
-    return ContractionPlan(tuple(steps), peak, compiled)
+    return ContractionPlan(compiled, tuple(merges), tuple(nodes.masks), tuple(nodes.leg_edges))
 
 
 class _Pool:

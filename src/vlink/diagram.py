@@ -348,17 +348,27 @@ def _remap(
     gone: Container[int] = (),
     drop: Container[tuple[Endpoint, Endpoint]] = (),
 ) -> Tangle:
-    """``t`` without the vertices in ``gone`` and the edges in ``drop``, every
-    other edge mapped endpoint by endpoint: one in ``ends`` to its image,
-    a slot to the same slot of its vertex renumbered among the kept ones.
+    """``t`` with its edges mapped by `_map_edges`; the images in ``ends``
+    are the legs of the result, so ``ends`` covers every leg of ``t`` and
+    every slot of a vertex in ``gone`` outside ``drop``, and an endpoint
+    left out makes `Tangle` reject the result.  Relabelling legs and
+    deleting a vertex are both this one map."""
+    num_vertices, edges = _map_edges(t, ends, gone, drop)
+    return Tangle(num_vertices, len(ends), frozenset(edges), t.loop_count)
 
-    The images in ``ends`` are the legs of the result, so ``ends`` covers
-    every leg of ``t`` and every slot of a vertex in ``gone`` outside
-    ``drop``; an endpoint left out makes `Tangle` reject the result.
-    Relabelling legs, deleting a vertex and cutting a move pattern out are
-    all this one map.  Endpoints that keep their name are reused, not
-    copied: the edges of derivative terms live on in the key cache.
-    """
+
+def _map_edges(
+    t: Tangle,
+    ends: dict[Endpoint, Endpoint],
+    gone: Container[int] = (),
+    drop: Container[tuple[Endpoint, Endpoint]] = (),
+) -> tuple[int, list[tuple[Endpoint, Endpoint]]]:
+    """The vertex count and sorted-pair edges of ``t`` without the vertices
+    in ``gone`` and the edges in ``drop``, every other edge mapped endpoint
+    by endpoint: one in ``ends`` to its image, a slot to the same slot of
+    its vertex renumbered among the kept ones.  Endpoints that keep their
+    name are reused, not copied: the edges of derivative terms live on in
+    the key cache."""
     kept = [v for v in range(t.num_vertices) if v not in gone]
     where = {(old, s): (new, s) for new, old in enumerate(kept) if new != old for s in range(4)}
     where.update(ends)
@@ -367,7 +377,7 @@ def _remap(
         if (a, b) not in drop:
             a, b = where.get(a, a), where.get(b, b)
             edges.append((a, b) if a < b else (b, a))
-    return Tangle(len(kept), len(ends), frozenset(edges), t.loop_count)
+    return len(kept), edges
 
 
 def knot_components(g: Tangle) -> int:

@@ -20,20 +20,25 @@ condition residual entrywise - no leg permutation needed with the
 conventions above.  :func:`apply_move` rewrites a diagram by cutting the
 pattern out and gluing in the replacement, so invariance under rewriting and
 vanishing of the evaluated move tangles are literally the same statement.
+The cut is an unvalidated record that only `glue` reads, so the one tangle
+a rewrite builds is its result, validated as every tangle is.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import QuantumTangle, glue, qt_add, qt_scale
 from .diagram import (
     LEG,
+    Endpoint,
     Tangle,
-    _remap,
+    _map_edges,
     build_tangle,
     partner_map,
     strand_tangle,
@@ -302,20 +307,28 @@ def enumerate_move_sites(g: Tangle, kind: str) -> list[MoveSite]:
     return list(table.sites(kind))
 
 
-def _cut_edges(g: Tangle, pattern: Tangle, cut: tuple) -> Tangle:
+class _Cut(NamedTuple):
+    """A diagram with a move pattern cut out, its legs the cut edge ends:
+    a `Tangle`'s four fields, unvalidated.  Only `glue` reads it, and the
+    rewrite that `glue` builds from it is validated."""
+
+    num_vertices: int
+    arity: int
+    edges: Iterable[tuple[Endpoint, Endpoint]]  # sorted pairs, in any order
+    loop_count: int
+
+
+def _cut_edges(g: Tangle, pattern: Tangle, cut: tuple) -> _Cut:
     """Remove the edges ``cut``, attaching the two ends of the i-th one to
     the two legs of the i-th sorted edge of the vertex-free ``pattern``."""
     _, leg_pairs = _SPLIT[pattern]
     legs = []
     for (la, lb), (a, b) in zip(leg_pairs, cut):
         legs += ((la, a), (lb, b))
-    # A set's iteration order, which `glue` and so the rewrite's repr follow,
-    # depends on how it was built: legs go in by label, `cut` out as a set.
-    legs.sort()
-    return Tangle(g.num_vertices, len(legs), g.edges.difference(set(cut)).union(legs), g.loop_count)
+    return _Cut(g.num_vertices, len(legs), g.edges.difference(cut).union(legs), g.loop_count)
 
 
-def _cut_vertices(g: Tangle, pattern: Tangle, at: tuple, rot: tuple, name: str) -> Tangle:
+def _cut_vertices(g: Tangle, pattern: Tangle, at: tuple, rot: tuple, name: str) -> _Cut:
     """Cut ``pattern`` out of ``g``, its vertex p placed at vertex ``at[p]``
     turned by ``rot[p]``: pattern endpoint (p, s) is (at[p], (s + rot[p]) % 4).
     Each placed leg end becomes the pattern's leg; raises ValueError if a
@@ -330,15 +343,17 @@ def _cut_vertices(g: Tangle, pattern: Tangle, at: tuple, rot: tuple, name: str) 
     ends = {}
     for leg, (p, s) in legs:
         ends[(at[p], (s + rot[p]) % 4)] = leg
-    return _remap(g, ends, at, cut)
+    num_vertices, edges = _map_edges(g, ends, at, cut)
+    return _Cut(num_vertices, len(ends), edges, g.loop_count)
 
 
 def apply_move(g: Tangle, site: MoveSite) -> Tangle:
     """Rewrite ``g`` at ``site``; raises ValueError on a stale site.
 
-    The pattern is cut out, leaving a tangle whose legs are the cut edge
-    ends, and the replacement is glued in; both steps build each tangle once.
-    Every cut reads its edges and legs from the pattern tangle it removes.
+    The pattern is cut out, leaving an unvalidated record whose legs are the
+    cut edge ends, and the replacement is glued in: the rewrite is the one
+    tangle built, and it is validated.  Every cut reads its edges and legs
+    from the pattern tangle it removes.
     """
     if g.arity:
         raise ValueError("moves apply to diagrams (arity 0) only")
@@ -348,8 +363,7 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
         if anchor == ("loop",):
             if not g.loop_count:
                 raise ValueError("stale move site: diagram has no vertexless loop")
-            trimmed = Tangle(g.num_vertices, 0, g.edges, g.loop_count - 1)
-            return glue(trimmed, _CLOSED_KINK)
+            return glue(_Cut(g.num_vertices, 0, g.edges, g.loop_count - 1), _CLOSED_KINK)
         _, edge = anchor
         if edge not in g.edges:
             raise ValueError(f"stale move site: edge {edge!r} not in diagram")

@@ -1,8 +1,10 @@
 import gc
 import itertools
+import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -337,6 +339,25 @@ def test_a_gram_whose_norm_overflows_is_still_judged():
         negated = -report.gram
         least = float(np.linalg.eigvalsh(negated.real).min())
         assert not vl.GramReport(report.basis, negated, least).passed()
+
+
+def test_a_gram_past_half_the_float_range_is_symmetrized_without_overflow():
+    # At 1.8e153 the Gram is finite (entries up to 1.04e308), but the sum of
+    # a pair of them is not: (a + b) / 2 made eigvalsh fail with "Eigenvalues
+    # did not converge".  Such pairs are halved before adding; every other
+    # entry keeps (a + b) / 2, so a Gram that worked keeps every bit.
+    model = vl.random_model(2, np.random.default_rng(0), real=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        works = vl.gram_psd(vl.VertexModel(2, model.entries * 1.5e153), max_vertices=1)
+        wide = vl.gram_psd(vl.VertexModel(2, model.entries * 1.8e153), max_vertices=1)
+    real = works.gram.real
+    assert works.min_eigenvalue == float(np.linalg.eigvalsh((real + real.T) / 2.0).min())
+    real = wide.gram.real
+    assert np.isfinite(real).all() and np.abs(real).max() > np.finfo(float).max / 2
+    least = float(np.linalg.eigvalsh(real / 2.0 + real.T / 2.0).min())
+    assert math.isfinite(wide.min_eigenvalue)
+    assert abs(wide.min_eigenvalue - least) <= 1e-12 * abs(least)
 
 
 def test_nondegeneracy_probe_ranks_agree():

@@ -508,6 +508,20 @@ def test_gram_outputs_matrix_and_eigenvalue(workdir, capsys):
     assert err.startswith("min_eigenvalue ")
 
 
+def test_gram_judges_a_finite_gram_past_half_the_float_range(workdir, capsys):
+    # The Gram of this model is finite, but (a + b) / 2 of its largest
+    # entries overflowed, and gram exited 1 with "Eigenvalues did not
+    # converge".
+    model = vl.random_model(2, np.random.default_rng(0), real=True)
+    vl.save_model(vl.VertexModel(2, model.entries * 1.8e153), str(workdir / "wide.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "gram", "--model", workdir / "wide.json", "--max-vertices", "1")
+    assert code in (0, 2), err
+    assert len(out.splitlines()) == 60
+    assert err.startswith("min_eigenvalue ") and "did not converge" not in err
+
+
 def test_subcommands_refuse_flags_they_do_not_read(workdir, capsys):
     # gram and random never read --format, and eval, enumerate and random
     # never read --tol, so none of them accepts the flag it does not read.

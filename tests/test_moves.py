@@ -285,6 +285,30 @@ def test_apply_move_matches_cut_and_glue_reference():
     assert min(applied.values()) > 0 and loop_sites > 0, (applied, loop_sites)
 
 
+def test_a_rewrite_builds_one_tangle(monkeypatch):
+    # The cut is a record that only `glue` reads, so the one tangle a
+    # rewrite builds, and validates, is its result: for R1+ on an edge and
+    # on a loop, R1-, R2+, R2- and R3 in both directions.
+    built = []
+    post_init = vl.Tangle.__post_init__
+
+    def counted(t):
+        built.append(t)
+        post_init(t)
+
+    monkeypatch.setattr(vl.Tangle, "__post_init__", counted)
+    variants = set()
+    for g in _rewrite_diagrams():
+        for site in _all_sites(g):
+            built.clear()
+            moved = vl.apply_move(g, site)
+            assert len(built) == 1 and built[0] is moved, (g, site)
+            variants.add((site.kind, site.anchor[0] if site.kind == "R1+" else site.anchor[-1]))
+    r3 = {("R3", 1), ("R3", -1)}
+    assert {kind for kind, _ in variants} == set(MOVE_KINDS) and r3 <= variants
+    assert {("R1+", "edge"), ("R1+", "loop")} <= variants
+
+
 def test_stale_sites_raise():
     g = vl.parse_tangle("x v1 a b a b")
     kink = vl.parse_tangle("x v1 a b b a")
