@@ -64,7 +64,7 @@ import numpy as np
 from .algebra import QuantumTangle, det_tangle, qt_glue, tangle_derivative
 from .contraction import plan_contraction
 from .diagram import LEG, CacheInfo, Endpoint, Tangle, build_tangle, canonical_key
-from .model import TangleTensor, VertexModel, pair, partition_function, qt_evaluate, tangle_tensor
+from .model import VertexModel, pair, partition_function, qt_evaluate, tangle_tensor
 
 __all__ = [
     "BASIS_CACHE_BOUND",
@@ -217,15 +217,14 @@ def kernel_residual(model: VertexModel, t: Tangle) -> float:
     m = model.n + 1
     if t.arity != 2 * m:
         raise ValueError(f"need a {2 * m}-tangle for an n={model.n} model, got arity {t.arity}")
-    return abs(qt_evaluate(model, qt_glue(det_tangle(m), QuantumTangle.of(t))))
+    return float(np.abs(qt_evaluate(model, qt_glue(det_tangle(m), QuantumTangle.of(t)))))
 
 
-def _saturating(op, *args) -> float:
-    """``op(*args)``, or infinity where Python's float arithmetic raises
-    OverflowError (the abs of a finite complex, or a power, past the float
-    range), as numpy's would."""
+def _saturating_pow(base: float, exponent: int) -> float:
+    """``base ** exponent``, or infinity where Python's float power raises
+    OverflowError past the float range, as numpy's would."""
     try:
-        return op(*args)
+        return base**exponent
     except OverflowError:
         return math.inf
 
@@ -271,11 +270,11 @@ def kernel_probe(
             v = int(rng.integers(fewest, max(fewest, max_vertices) + 1))
             t = random_tangle(rng, 2 * m, v)
             value = qt_evaluate(model, qt_glue(det_tangle(m), QuantumTangle.of(t)))
-            drawn.append((v, _saturating(abs, value)))
+            drawn.append((v, float(np.abs(value))))
     kernel = drawn[:samples]
     control = float(np.max([value for _, value in drawn[samples:]]))
     norm = model.norm
-    scaled = float(np.max([r / (1.0 + _saturating(pow, norm, v)) for v, r in kernel]))
+    scaled = float(np.max([r / (1.0 + _saturating_pow(norm, v)) for v, r in kernel]))
     return KernelReport(model.n, tuple(r for _, r in kernel), scaled, control)
 
 
@@ -339,7 +338,7 @@ class _Programs:
         n, arity = model.n, self.strides.shape[1]
         tensors = np.empty((len(self.firsts), n**arity), dtype=complex)
         for tensor, t in zip(tensors, self.firsts):
-            tensor[:] = tangle_tensor(model, t).values.ravel()
+            tensor[:] = tangle_tensor(model, t).ravel()
         # digits[:, j]: the leg indices of flat position j, in C order.
         digits = np.indices((n,) * arity).reshape(arity, n**arity)
         index = self.offsets[:, None] + self.strides @ digits
@@ -423,15 +422,8 @@ def gram_psd(model: VertexModel, max_vertices: int) -> GramReport:
     if not model.is_real:
         raise ValueError("gram_psd needs a real model")
     basis, _, gram = _basis_gram(model, 4, max_vertices)
-    # The mean of a finite pair past half the float range overflows as
-    # (a + b) / 2, so just those entries are halved before adding.
-    real = gram.real
-    with np.errstate(over="ignore"):
-        sym = real + real.T
-    wide = ~np.isfinite(sym)
-    sym /= 2.0
-    sym[wide] = real[wide] / 2.0 + real.T[wide] / 2.0
-    eigs = np.linalg.eigvalsh(sym)
+    # rows @ rows.T is exactly symmetric, and eigvalsh reads one triangle.
+    eigs = np.linalg.eigvalsh(gram.real)
     return GramReport(basis, gram, float(eigs.min()))
 
 
@@ -468,9 +460,7 @@ def fd_check(
     f_plus = partition_function(model.perturbed(direction, +h), g)
     f_minus = partition_function(model.perturbed(direction, -h), g)
     central = (f_plus - f_minus) / (2.0 * h)
-    derivative = qt_evaluate(model, tangle_derivative(g))
-    if isinstance(derivative, complex):
-        paired = 0j
-    else:
-        paired = pair(derivative, TangleTensor(4, model.n, direction.entries))
+    # An empty derivative evaluates to the 0-d zero, which pairs to 0
+    # against the 4-leg direction tensor.
+    paired = pair(qt_evaluate(model, tangle_derivative(g)), direction.entries)
     return abs(central - paired)

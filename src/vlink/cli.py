@@ -29,7 +29,6 @@ from .characterize import (
 )
 from .diagram import load_tangle, serialize_tangle
 from .model import (
-    TangleTensor,
     load_model,
     model_to_json,
     partition_function,
@@ -217,16 +216,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if path.endswith(".qtl"):
             value = qt_evaluate(model, load_quantum_tangle(path))
         else:
-            tangle = load_tangle(path)
-            if tangle.arity:
-                value = tangle_tensor(model, tangle)
-            else:
-                value = partition_function(model, tangle)
-        if not np.isfinite(value.values if isinstance(value, TangleTensor) else value).all():
+            value = tangle_tensor(model, load_tangle(path))
+        if not np.isfinite(value).all():
             raise ValueError(f"{path}: value is not finite (the evaluation overflowed)")
-        if isinstance(value, TangleTensor):
-            for idx in np.ndindex(value.values.shape):
-                z = complex(value.values[idx])
+        if value.ndim:
+            for idx in np.ndindex(value.shape):
+                z = complex(value[idx])
                 pos = " ".join(str(i + 1) for i in idx)
                 _emit(
                     args,

@@ -14,7 +14,9 @@ The partition function of a diagram G is
 with f_R(empty) = 1.  It is multiplicative over disjoint union.  For a
 k-tangle the leg colors stay free and the result is a tensor of shape
 (n,) * k, ordered by leg labels; gluing tangles corresponds to the bilinear
-pairing of their tensors (no conjugation).
+pairing of their tensors (no conjugation).  Every evaluation is a plain
+complex ``np.ndarray`` of shape (n,) * k, 0-d for a diagram;
+:func:`partition_function` alone returns a Python ``complex``.
 
 The orthogonal group acting diagonally on all four indices fixes every
 partition function, which is exercised by :func:`apply_orthogonal` together
@@ -37,7 +39,6 @@ from .diagram import CacheInfo, Tangle
 
 __all__ = [
     "VertexModel",
-    "TangleTensor",
     "symmetrize",
     "transmission_model",
     "strand_product_model",
@@ -111,21 +112,6 @@ def symmetrize(raw: np.ndarray) -> VertexModel:
         raise ValueError(f"expected shape (n, n, n, n), got {raw.shape}")
     sym = (raw + raw.transpose(2, 3, 0, 1)) / 2.0
     return VertexModel(raw.shape[0], sym)
-
-
-@dataclass(frozen=True, eq=False)
-class TangleTensor:
-    """Evaluation of a k-tangle: a dense tensor over leg labels 1..k."""
-
-    arity: int
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.n,) * self.arity:
-            raise ValueError(f"values must have shape {(self.n,) * self.arity}")
-        object.__setattr__(self, "values", values)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +296,9 @@ def save_model(model: VertexModel, path: str) -> None:
 # Evaluation
 
 
-def tangle_tensor(model: VertexModel, t: Tangle) -> TangleTensor:
-    """Evaluate a k-tangle to its tensor over leg labels 1..k."""
+def tangle_tensor(model: VertexModel, t: Tangle) -> np.ndarray:
+    """Evaluate a k-tangle to its tensor over leg labels 1..k: shape
+    (n,) * k, 0-d for a diagram."""
     values = execute_plan(model.entries, model.n, t, plan_contraction(t, model.n))
     if t.loop_count:
         try:
@@ -320,8 +307,11 @@ def tangle_tensor(model: VertexModel, t: Tangle) -> TangleTensor:
             raise ValueError(
                 f"n^loops overflows a float: n = {model.n}, {t.loop_count} vertexless loops"
             ) from exc
-        values = values * scale
-    return TangleTensor(t.arity, model.n, values)
+        # In place, so that a diagram's 0-d array stays an array:
+        # `values * scale` gives a numpy scalar, which `qt_evaluate` would
+        # multiply by its coefficient with Python's complex arithmetic.
+        values *= scale
+    return values
 
 
 def partition_function(model: VertexModel, g: Tangle) -> complex:
@@ -348,39 +338,36 @@ def partition_function(model: VertexModel, g: Tangle) -> complex:
     else:
         if ref() is model:
             return value
-    value = complex(tangle_tensor(model, g).values)
+    value = complex(tangle_tensor(model, g))
     object.__setattr__(g, "_value", (weakref.ref(model), value))
     return value
 
 
-def qt_evaluate(model: VertexModel, qt: QuantumTangle) -> TangleTensor | complex:
-    """Evaluate a linear combination; scalar for arity 0, tensor otherwise.
+def qt_evaluate(model: VertexModel, qt: QuantumTangle) -> np.ndarray:
+    """Evaluate a linear combination to an array of its arity: shape
+    (n,) * k, 0-d for a combination of diagrams.
 
-    The empty combination evaluates to the scalar 0.
+    The empty combination evaluates to the 0-d zero.
     """
     arities = qt.arities
     if len(arities) > 1:
         raise ValueError(f"mixed arities in combination: {sorted(arities)}")
-    if not arities:
-        return 0j
-    (arity,) = arities
-    total = np.zeros((model.n,) * arity, dtype=complex)
+    total = np.zeros((model.n,) * max(arities, default=0), dtype=complex)
     for t, c in qt:
-        total += c * tangle_tensor(model, t).values
-    if arity == 0:
-        return complex(total)
-    return TangleTensor(arity, model.n, total)
+        total += c * tangle_tensor(model, t)
+    return total
 
 
-def pair(x: TangleTensor, y: TangleTensor) -> complex:
+def pair(x: np.ndarray, y: np.ndarray) -> complex:
     """Bilinear pairing sum(x * y), no conjugation.
 
-    Mismatched arity or state count pairs to 0, matching the vanishing of
-    cross-arity glue products.
+    Tensors of different shapes (arity or state count) pair to 0, matching
+    the vanishing of cross-arity glue products; two 0-d arrays pair to
+    their product.
     """
-    if x.arity != y.arity or x.n != y.n:
+    if x.shape != y.shape:
         return 0j
-    return complex(np.sum(x.values * y.values))
+    return complex(np.sum(x * y))
 
 
 def apply_orthogonal(model: VertexModel, u: np.ndarray) -> VertexModel:

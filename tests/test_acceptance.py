@@ -64,7 +64,10 @@ def test_knot_count_realization(corpus, announce):
     )
 
 
-def test_multiplicativity_and_normalization(corpus, announce):
+def _multiplicativity(f, corpus) -> tuple[bool, str]:
+    """Whether the closed-diagram function ``f(model, g)`` is multiplicative
+    over disjoint union on 200 seeded corpus pairs under four models, and
+    exactly 1 on the empty diagram; and the figures behind the verdict."""
     models = [
         vl.transmission_model(2),
         vl.knot_counting_model(),
@@ -77,21 +80,22 @@ def test_multiplicativity_and_normalization(corpus, announce):
         model = models[trial % len(models)]
         g = corpus[int(rng.integers(len(corpus)))]
         h = corpus[int(rng.integers(len(corpus)))]
-        lhs = vl.partition_function(model, vl.disjoint_union(g, h))
-        rhs = vl.partition_function(model, g) * vl.partition_function(model, h)
+        lhs = f(model, vl.disjoint_union(g, h))
+        rhs = f(model, g) * f(model, h)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-    exact_empty = all(
-        vl.partition_function(m, vl.empty_tangle()) == 1.0 + 0.0j for m in models
-    )
+    exact_empty = all(f(m, vl.empty_tangle()) == 1.0 + 0.0j for m in models)
     ok = worst <= 1e-9 and exact_empty
-    announce(
-        "multiplicativity",
-        ok,
-        f"worst scaled defect {worst:.2e} over 200 pairs, f(empty) == 1: {exact_empty}",
-    )
+    return ok, f"worst scaled defect {worst:.2e} over 200 pairs, f(empty) == 1: {exact_empty}"
 
 
-def test_orthogonal_invariance(small_corpus, announce):
+def test_multiplicativity_and_normalization(corpus, announce):
+    announce("multiplicativity", *_multiplicativity(vl.partition_function, corpus))
+
+
+def _orthogonal_invariance(transform, small_corpus) -> tuple[bool, str]:
+    """Whether f is unchanged when 50 seeded models R become
+    ``transform(R, U)`` for a random orthogonal U (QR when real, Cayley
+    when complex); and the figure behind the verdict."""
     rng = np.random.default_rng(105)
     worst = 0.0
     for trial in range(50):
@@ -99,17 +103,38 @@ def test_orthogonal_invariance(small_corpus, announce):
         real = trial % 4 < 2
         model = vl.random_model(n, rng, real=real)
         u = vl.random_orthogonal(n, rng, real=real)
-        moved = vl.apply_orthogonal(model, u)
+        moved = transform(model, u)
         g = small_corpus[int(rng.integers(len(small_corpus)))]
         a = vl.partition_function(model, g)
         b = vl.partition_function(moved, g)
         worst = max(worst, abs(a - b) / (1.0 + abs(a)))
     ok = worst <= 1e-8
-    announce(
-        "orthogonal invariance",
-        ok,
-        f"worst scaled change {worst:.2e} over 50 transforms (QR and Cayley)",
-    )
+    return ok, f"worst scaled change {worst:.2e} over 50 transforms (QR and Cayley)"
+
+
+def test_orthogonal_invariance(small_corpus, announce):
+    announce("orthogonal invariance", *_orthogonal_invariance(vl.apply_orthogonal, small_corpus))
+
+
+def _scaled_by_1_1(model, u):
+    """R acted on by U = 1.1 I on all four indices, whatever ``u``: that is,
+    1.1^4 R.  `apply_orthogonal` refuses U, which is not orthogonal."""
+    s = 1.1 * np.eye(model.n)
+    return vl.symmetrize(np.einsum("ai,bj,ck,dl,ijkl->abcd", s, s, s, s, model.entries))
+
+
+def test_multiplicativity_fails_on_f_plus_one(corpus):
+    # Negative control: f + 1 is 2 on the empty diagram, and f(g) + f(h)
+    # off multiplicative on a pair.
+    ok, detail = _multiplicativity(lambda model, g: vl.partition_function(model, g) + 1, corpus)
+    assert not ok, detail
+
+
+def test_orthogonal_invariance_fails_on_a_scaled_model(small_corpus):
+    # Negative control: R -> 1.1^4 R scales f by 1.1^(4v) on a diagram
+    # with v vertices.
+    ok, detail = _orthogonal_invariance(_scaled_by_1_1, small_corpus)
+    assert not ok, detail
 
 
 def test_pairing_identity(announce):
@@ -166,7 +191,7 @@ def test_transmission_invariance(corpus, announce):
         model = vl.transmission_model(n)
         for kind in (1, 2, 3):
             tensor = vl.qt_evaluate(model, vl.move_tangles(kind))
-            residual = max(residual, float(np.max(np.abs(tensor.values))))
+            residual = max(residual, float(np.max(np.abs(tensor))))
     ok = drift <= 1e-8 and residual <= 1e-10
     announce(
         "transmission invariance",
@@ -293,7 +318,7 @@ def test_planner_equivalence_and_speed(small_corpus, announce):
     for model in (vl.random_model(2, np.random.default_rng(200)), vl.transmission_model(3)):
         for t in zoo:
             ref = naive_tangle_tensor(model.entries, model.n, t)
-            got = np.asarray(vl.tangle_tensor(model, t).values)
+            got = vl.tangle_tensor(model, t)
             scale = 1.0 + float(np.max(np.abs(ref)))
             worst = max(worst, float(np.max(np.abs(got - ref))) / scale)
     equal = worst <= 1e-10

@@ -135,6 +135,30 @@ def test_eval_qtl(workdir, capsys):
     assert out == "4 0\n"
 
 
+def test_eval_qtl_of_tangles_prints_one_record_per_leg_colouring(workdir, capsys):
+    four = workdir / "four.vld"
+    vl.save_tangle(vl.random_tangle(np.random.default_rng(5), 4, 2), str(four))
+    manifest = workdir / "double.qtl"
+    manifest.write_text("term 2 0 four.vld\n")
+    model = workdir / "real.json"
+    code, out, _ = run(capsys, "eval", "--format", "json-lines", "--model", model, four)
+    assert code == 0
+    want = [json.loads(line) for line in out.splitlines()]
+    assert len(want) == 16
+    for record in want:  # each value exactly twice the .vld's
+        record.update(path=str(manifest), re=2 * record["re"], im=2 * record["im"])
+    runs = {
+        fmt: run(capsys, "eval", "--format", fmt, "--model", model, manifest)
+        for fmt in ("text", "csv", "json-lines")
+    }
+    assert all(code == 0 and err == "" for code, _, err in runs.values())
+    assert [json.loads(line) for line in runs["json-lines"][1].splitlines()] == want
+    rows = list(csv.reader(io.StringIO(runs["csv"][1])))
+    assert rows == [[r["path"], *map(str, r["index"]), str(r["re"]), str(r["im"])] for r in want]
+    lines = [" ".join([*map(str, r["index"]), _fmt(r["re"]), _fmt(r["im"])]) for r in want]
+    assert runs["text"][1].splitlines() == lines
+
+
 def test_eval_qtl_non_finite_coefficient_is_input_error(workdir, capsys):
     # A NaN term would be pruned with every finite term summed into it, and
     # an infinite one would print inf: both are refused, naming the line.

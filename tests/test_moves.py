@@ -81,7 +81,7 @@ def test_move_tangles_evaluate_to_condition_residuals():
     for seed in range(4):
         model = vl.random_model(2, np.random.default_rng(seed))
         report = vl.check_algebraic(model)
-        norms = [np.linalg.norm(vl.qt_evaluate(model, vl.move_tangles(k)).values) for k in (1, 2, 3)]
+        norms = [np.linalg.norm(vl.qt_evaluate(model, vl.move_tangles(k))) for k in (1, 2, 3)]
         assert abs(norms[0] - report.residual_r1) < 1e-12
         assert abs(norms[1] - report.residual_r2) < 1e-12
         assert abs(norms[2] - report.residual_r3) < 1e-12
@@ -91,7 +91,7 @@ def test_move_tangles_vanish_for_transmission():
     model = vl.transmission_model(3)
     for kind in (1, 2, 3):
         tensor = vl.qt_evaluate(model, vl.move_tangles(kind))
-        assert float(np.max(np.abs(tensor.values))) <= 1e-10
+        assert float(np.max(np.abs(tensor))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -29,4 +29,4 @@ def test_library_tour_values_match_its_comments():
             shown.append(repr(value))
         else:
             exec(code, namespace)
-    assert shown == ["(4+0j)", "True", "(4+0j)"]
+    assert shown == ["(4+0j)", "True", "(4+0j)", "array(4.+0.j)", "(2, 2)", "array(2.+0.j)"]
