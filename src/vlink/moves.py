@@ -1,9 +1,11 @@
 """Reidemeister moves: algebraic conditions and diagram rewriting.
 
 A vertex model leaves partition functions invariant under the three
-Reidemeister moves iff three algebraic conditions hold.  With the vertex
-tensor R viewed as an operator on C^n (x) C^n (rows at index positions 1,2,
-columns at 3,4):
+Reidemeister moves if three algebraic conditions hold.  The conditions are
+sufficient, not necessary: `knot_counting_model()` is invariant (f is
+2^knots on every diagram) yet fails the kink condition with residual 4.
+With the vertex tensor R viewed as an operator on C^n (x) C^n (rows at index
+positions 1,2, columns at 3,4):
 
   1. kink:          C(R) = I,          C(R)[a,c] = sum_b R[a,b,b,c]
   2. return:        R . D(R) = I(x)I,  D(R)[i,j,k,l] = R[i,l,k,j]
@@ -14,12 +16,14 @@ on (C^n)^(x)3 acting on the named pair of factors.  D transposes the matrix
 factor living on index positions 2,4 (the under-going strand), which is the
 crossing seen from the other side.
 
-Each condition has a tangle counterpart: a two-term combination (local
-pattern minus its rewritten form) whose evaluation under R equals the
-condition residual entrywise - no leg permutation needed with the
-conventions above.  :func:`apply_move` rewrites a diagram by cutting the
-pattern out and gluing in the replacement, so invariance under rewriting and
-vanishing of the evaluated move tangles are literally the same statement.
+Each condition is a move tangle: a two-term combination (local pattern minus
+its rewritten form) whose evaluation under R equals the condition residual
+entrywise - no leg permutation needed with the conventions above.  Each move
+is stated once, as a pattern and its replacement.  `check_algebraic` takes
+residual k as the Frobenius norm of the evaluated move tangle k, and
+:func:`apply_move` rewrites a diagram by cutting the pattern out and gluing
+in the replacement, so invariance under rewriting and vanishing of the
+evaluated move tangles are literally the same statement.
 The cut is an unvalidated record that only `glue` reads, so the one tangle
 a rewrite builds is its result, validated as every tangle is.
 """
@@ -43,7 +47,7 @@ from .diagram import (
     partner_map,
     strand_tangle,
 )
-from .model import VertexModel, partition_function
+from .model import VertexModel, partition_function, qt_evaluate
 
 __all__ = [
     "ConditionReport",
@@ -94,16 +98,9 @@ class ConditionReport:
 
 
 def check_algebraic(model: VertexModel, tol: float = 1e-10) -> ConditionReport:
-    """Frobenius residuals of the kink, return, and Yang-Baxter conditions."""
-    n, entries, eye = model.n, model.entries, np.eye(model.n)
-    r1 = float(np.linalg.norm(np.einsum("abbc->ac", entries) - eye))
-    rop = entries.reshape(n * n, n * n)
-    dop = entries.transpose(0, 3, 2, 1).reshape(n * n, n * n)
-    r2 = float(np.linalg.norm(rop @ dop - np.eye(n * n)))
-    e12 = np.kron(rop, eye)
-    e23 = np.kron(eye, rop)
-    e13 = np.einsum("acdf,be->abcdef", entries, eye).reshape(n**3, n**3)
-    r3 = float(np.linalg.norm(e12 @ e13 @ e23 - e23 @ e13 @ e12))
+    """Residuals of the kink, return and Yang-Baxter conditions: residual k
+    is the Frobenius norm of the evaluated move tangle `move_tangles(k)`."""
+    r1, r2, r3 = (float(np.linalg.norm(qt_evaluate(model, move_tangles(k)))) for k in (1, 2, 3))
     return ConditionReport(r1, r2, r3, tol, model.norm)
 
 

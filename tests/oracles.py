@@ -11,7 +11,8 @@ every perfect matching of the endpoints, leg relabelling and vertex
 deletion by a mapping function and `build_tangle`, rewriting by cutting
 with `build_tangle` and gluing through a connector graph of every edge, and
 the determinant tangle rebuilt on every call, its signs by counting
-inversions.
+inversions, and the move-condition residuals by Kronecker and matrix
+products of R read as an operator.
 None of it imports the contraction planner or the model-file loader.  The
 basis walk alone deduplicates by `canonical_key`, which
 `brute_isomorphic` checks elsewhere: it judges the generation, not the key.
@@ -692,3 +693,20 @@ def _cut_edges(
     for ep, label in leg_assignment:
         kept.append(((LEG, label), ep))
     return build_tangle(g.num_vertices, kept, g.loop_count)
+
+
+def reference_condition_residuals(entries: np.ndarray, n: int) -> tuple[float, float, float]:
+    """Frobenius residuals of the kink, return and Yang-Baxter conditions,
+    with R read as an operator on C^n (x) C^n (rows at index positions 1,2,
+    columns at 3,4): C(R) - I, R D(R) - I(x)I with D(R)[i,j,k,l] =
+    R[i,l,k,j], and E12 E13 E23 - E23 E13 E12 on (C^n)^(x)3."""
+    eye = np.eye(n)
+    r1 = float(np.linalg.norm(np.einsum("abbc->ac", entries) - eye))
+    rop = entries.reshape(n * n, n * n)
+    dop = entries.transpose(0, 3, 2, 1).reshape(n * n, n * n)
+    r2 = float(np.linalg.norm(rop @ dop - np.eye(n * n)))
+    e12 = np.kron(rop, eye)
+    e23 = np.kron(eye, rop)
+    e13 = np.einsum("acdf,be->abcdef", entries, eye).reshape(n**3, n**3)
+    r3 = float(np.linalg.norm(e12 @ e13 @ e23 - e23 @ e13 @ e12))
+    return r1, r2, r3

@@ -42,12 +42,11 @@ def _chained_move_deltas(model, diagrams, count, rng, cap=12):
     return worst
 
 
-def test_knot_count_realization(corpus, announce):
-    """A model whose partition function is exactly 2^knots, certified on
-    the corpus, yet failing the kink condition by a wide margin."""
-    assert len(corpus) >= 20
-    assert max(g.num_vertices for g in corpus) <= 6
-    model = vl.knot_counting_model()
+def _knot_count_realization(model, corpus) -> tuple[bool, str]:
+    """Whether f under ``model`` is 2^knots on every corpus diagram and
+    unchanged by 100 seeded chained moves, while the model fails the kink
+    condition by a wide margin (residual above 0.5); and the figures behind
+    the verdict."""
     worst = 0.0
     for g in corpus:
         expected = 2.0 ** dfs_knot_components(g)
@@ -56,12 +55,27 @@ def test_knot_count_realization(corpus, announce):
     r1 = vl.check_algebraic(model).residual_r1
     drift = _chained_move_deltas(model, corpus, 100, np.random.default_rng(101))
     ok = worst <= 1e-9 and r1 > 0.5 and drift <= 1e-9
-    announce(
-        "knot-count realization",
-        ok,
+    return ok, (
         f"rel err {worst:.2e} over {len(corpus)} diagrams, "
-        f"kink residual {r1:.3g}, move drift {drift:.2e}",
+        f"kink residual {r1:.3g}, move drift {drift:.2e}"
     )
+
+
+def test_knot_count_realization(corpus, announce):
+    """A model whose partition function is exactly 2^knots, certified on
+    the corpus, yet failing the kink condition by a wide margin."""
+    assert len(corpus) >= 20
+    assert max(g.num_vertices for g in corpus) <= 6
+    announce("knot-count realization", *_knot_count_realization(vl.knot_counting_model(), corpus))
+
+
+def test_knot_count_realization_fails_on_controls(corpus):
+    # Negative controls, one per clause.  diag(1.5, 0.5) has trace 2 but
+    # tr(A^m) != 2 for m > 1, so f is not 2^knots; the transmission model
+    # gives f = 2^knots exactly but passes the kink condition (r1 = 0).
+    for model in (vl.strand_product_model(np.diag([1.5, 0.5])), vl.transmission_model(2)):
+        ok, detail = _knot_count_realization(model, corpus)
+        assert not ok, detail
 
 
 def _multiplicativity(f, corpus) -> tuple[bool, str]:
@@ -178,26 +192,40 @@ def test_determinant_kernel(announce):
     announce("determinant-tangle kernel", ok, "; ".join(details))
 
 
-def test_transmission_invariance(corpus, announce):
+def _move_invariance(make_model, corpus) -> tuple[bool, str]:
+    """Whether f under ``make_model(n)`` at n = 2 and 3 is unchanged by 100
+    seeded chained moves each, and every move tangle evaluates to zero; and
+    the figures behind the verdict."""
     drift = 0.0
+    residual = 0.0
     for n, seed in ((2, 114), (3, 115)):
-        model = vl.transmission_model(n)
+        model = make_model(n)
         drift = max(
             drift,
             _chained_move_deltas(model, corpus, 100, np.random.default_rng(seed)),
         )
-    residual = 0.0
-    for n in (2, 3):
-        model = vl.transmission_model(n)
         for kind in (1, 2, 3):
             tensor = vl.qt_evaluate(model, vl.move_tangles(kind))
             residual = max(residual, float(np.max(np.abs(tensor))))
     ok = drift <= 1e-8 and residual <= 1e-10
-    announce(
-        "transmission invariance",
-        ok,
-        f"drift {drift:.2e} over 200 moves, move-tangle residual {residual:.2e}",
-    )
+    return ok, f"drift {drift:.2e} over 200 moves, move-tangle residual {residual:.2e}"
+
+
+def test_transmission_invariance(corpus, announce):
+    announce("transmission invariance", *_move_invariance(vl.transmission_model, corpus))
+
+
+def _random_strand_product(n):
+    """A (x) A for A the symmetric part of a seeded standard-normal matrix."""
+    a = np.random.default_rng(7).standard_normal((n, n))
+    return vl.strand_product_model((a + a.T) / 2)
+
+
+def test_move_invariance_fails_on_a_random_strand_product(corpus):
+    # Negative control: a kink of A (x) A is A^2, not I, so the drift (20.6)
+    # and the move-tangle residual (1.0) are far past their bounds.
+    ok, detail = _move_invariance(_random_strand_product, corpus)
+    assert not ok, detail
 
 
 def test_failing_models_are_witnessed(corpus, announce):
