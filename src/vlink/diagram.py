@@ -262,7 +262,7 @@ def parse_tangle(text: str, source: str = "<string>") -> Tangle:
 
     arity = len(leg_lines)
     if leg_lines and sorted(leg_lines) != list(range(1, arity + 1)):
-        missing = sorted(set(range(1, max(leg_lines) + 1)) - set(leg_lines))
+        missing = [label for label in range(1, arity + 1) if label not in leg_lines]
         raise VldError(f"leg labels are not contiguous 1..k (missing {missing})", source)
     edges = []
     for edge_id, occ in sorted(occurrences.items()):
@@ -342,18 +342,13 @@ def relabel_legs(t: Tangle, perm: dict[int, int]) -> Tangle:
     return _remap(t, {(LEG, old): (LEG, new) for old, new in perm.items()})
 
 
-def _remap(
-    t: Tangle,
-    ends: dict[Endpoint, Endpoint],
-    gone: Container[int] = (),
-    drop: Container[tuple[Endpoint, Endpoint]] = (),
-) -> Tangle:
+def _remap(t: Tangle, ends: dict[Endpoint, Endpoint], gone: Container[int] = ()) -> Tangle:
     """``t`` with its edges mapped by `_map_edges`; the images in ``ends``
     are the legs of the result, so ``ends`` covers every leg of ``t`` and
-    every slot of a vertex in ``gone`` outside ``drop``, and an endpoint
-    left out makes `Tangle` reject the result.  Relabelling legs and
-    deleting a vertex are both this one map."""
-    num_vertices, edges = _map_edges(t, ends, gone, drop)
+    every slot of a vertex in ``gone``, and an endpoint left out makes
+    `Tangle` reject the result.  Relabelling legs and deleting a vertex are
+    both this one map."""
+    num_vertices, edges = _map_edges(t, ends, gone)
     return Tangle(num_vertices, len(ends), frozenset(edges), t.loop_count)
 
 

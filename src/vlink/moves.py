@@ -19,11 +19,13 @@ crossing seen from the other side.
 Each condition is a move tangle: a two-term combination (local pattern minus
 its rewritten form) whose evaluation under R equals the condition residual
 entrywise - no leg permutation needed with the conventions above.  Each move
-is stated once, as a pattern and its replacement.  `check_algebraic` takes
-residual k as the Frobenius norm of the evaluated move tangle k, and
-:func:`apply_move` rewrites a diagram by cutting the pattern out and gluing
-in the replacement, so invariance under rewriting and vanishing of the
-evaluated move tangles are literally the same statement.
+is one row of one table, (name, pattern, replacement), and that row drives
+both its condition and every rewrite: `check_algebraic` takes residual k as
+the Frobenius norm of the evaluated move tangle k, and :func:`apply_move`
+rewrites a diagram by cutting the pattern out and gluing in the
+replacement, so invariance under rewriting and vanishing of the evaluated
+move tangles are literally the same statement.  A `ConditionReport` holds
+the three residuals and the one bound each is judged against.
 The cut is an unvalidated record that only `glue` reads, so the one tangle
 a rewrite builds is its result, validated as every tangle is.
 """
@@ -68,40 +70,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Residuals of the three move conditions at a given tolerance."""
+    """Residuals of the three move conditions and the one bound each is
+    judged against."""
 
     residual_r1: float
     residual_r2: float
     residual_r3: float
-    tol: float
-    model_norm: float
-
-    @property
-    def scale(self) -> float:
-        return self.tol * (1.0 + self.model_norm**2)
-
-    @property
-    def pass_r1(self) -> bool:
-        return self.residual_r1 <= self.scale
-
-    @property
-    def pass_r2(self) -> bool:
-        return self.residual_r2 <= self.scale
-
-    @property
-    def pass_r3(self) -> bool:
-        return self.residual_r3 <= self.scale
+    bound: float
 
     @property
     def passed(self) -> bool:
-        return self.pass_r1 and self.pass_r2 and self.pass_r3
+        return all(r <= self.bound for r in (self.residual_r1, self.residual_r2, self.residual_r3))
 
 
 def check_algebraic(model: VertexModel, tol: float = 1e-10) -> ConditionReport:
     """Residuals of the kink, return and Yang-Baxter conditions: residual k
-    is the Frobenius norm of the evaluated move tangle `move_tangles(k)`."""
-    r1, r2, r3 = (float(np.linalg.norm(qt_evaluate(model, move_tangles(k)))) for k in (1, 2, 3))
-    return ConditionReport(r1, r2, r3, tol, model.norm)
+    is the Frobenius norm of the evaluated move tangle `move_tangles(k)`,
+    and the bound of all three is ``tol * (1 + |R|^2)``."""
+    r1, r2, r3 = (float(np.linalg.norm(qt_evaluate(model, move_tangles(k)))) for k in _MOVES)
+    return ConditionReport(r1, r2, r3, tol * (1.0 + model.norm**2))
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +149,25 @@ _BRAID_RIGHT = build_tangle(
 )
 
 
-#: Each move as (pattern, replacement) under its number: R1-, R2- and R3
-#: direction +1 rewrite the pattern into the replacement, R1+, R2+ and R3
-#: direction -1 the replacement into the pattern.
-_MOVES = {1: (_KINK, _STRAND), 2: (_CROSSING_PAIR, _PARALLEL), 3: (_BRAID_LEFT, _BRAID_RIGHT)}
-_CLOSED_KINK = glue(*_MOVES[1])  # R1+ glues it in at a vertexless loop
+#: One row per move under its number, (name, pattern, replacement): the
+#: conditions and every rewrite read these rows.  R1-, R2- and R3 direction
+#: +1 rewrite the pattern into the replacement, R1+, R2+ and R3 direction -1
+#: the replacement into the pattern.
+_MOVES = {
+    1: ("kink", _KINK, _STRAND),
+    2: ("crossing pair", _CROSSING_PAIR, _PARALLEL),
+    3: ("braid", _BRAID_LEFT, _BRAID_RIGHT),
+}
+_CLOSED_KINK = glue(*_MOVES[1][1:])  # R1+ glues it in at a vertexless loop
 
-#: Each pattern split once: its internal edges (no leg end), and its edges
-#: with a leg end in sorted order, each read as (leg, other end).
+#: Each tangle of a row split once: its internal edges (no leg end), and its
+#: edges with a leg end in sorted order, each read as (leg, other end).
 _SPLIT = {
     t: (
         [edge for edge in t.edges if edge[0][0] != LEG],
         sorted(edge for edge in t.edges if edge[0][0] == LEG),
     )
-    for pair in _MOVES.values()
+    for _, *pair in _MOVES.values()
     for t in pair
 }
 
@@ -185,7 +177,7 @@ def move_tangles(kind: int) -> QuantumTangle:
     residual: pattern minus replacement."""
     if kind not in _MOVES:
         raise ValueError(f"kind must be 1, 2 or 3, got {kind!r}")
-    pattern, replacement = _MOVES[kind]
+    _, pattern, replacement = _MOVES[kind]
     return qt_add(QuantumTangle.of(pattern), qt_scale(-1.0, QuantumTangle.of(replacement)))
 
 
@@ -315,42 +307,15 @@ class _Cut(NamedTuple):
     loop_count: int
 
 
-def _cut_edges(g: Tangle, pattern: Tangle, cut: tuple) -> _Cut:
-    """Remove the edges ``cut``, attaching the two ends of the i-th one to
-    the two legs of the i-th sorted edge of the vertex-free ``pattern``."""
-    _, leg_pairs = _SPLIT[pattern]
-    legs = []
-    for (la, lb), (a, b) in zip(leg_pairs, cut):
-        legs += ((la, a), (lb, b))
-    return _Cut(g.num_vertices, len(legs), g.edges.difference(cut).union(legs), g.loop_count)
-
-
-def _cut_vertices(g: Tangle, pattern: Tangle, at: tuple, rot: tuple, name: str) -> _Cut:
-    """Cut ``pattern`` out of ``g``, its vertex p placed at vertex ``at[p]``
-    turned by ``rot[p]``: pattern endpoint (p, s) is (at[p], (s + rot[p]) % 4).
-    Each placed leg end becomes the pattern's leg; raises ValueError if a
-    placed internal edge is not an edge of ``g``."""
-    internal, legs = _SPLIT[pattern]
-    cut = set()
-    for (p, s), (q, t) in internal:
-        a, b = (at[p], (s + rot[p]) % 4), (at[q], (t + rot[q]) % 4)
-        cut.add((a, b) if a < b else (b, a))
-    if not cut <= g.edges:
-        raise ValueError(f"stale move site: {name} pattern absent")
-    ends = {}
-    for leg, (p, s) in legs:
-        ends[(at[p], (s + rot[p]) % 4)] = leg
-    num_vertices, edges = _map_edges(g, ends, at, cut)
-    return _Cut(num_vertices, len(ends), edges, g.loop_count)
-
-
 def apply_move(g: Tangle, site: MoveSite) -> Tangle:
     """Rewrite ``g`` at ``site``; raises ValueError on a stale site.
 
-    The pattern is cut out, leaving an unvalidated record whose legs are the
-    cut edge ends, and the replacement is glued in: the rewrite is the one
-    tangle built, and it is validated.  Every cut reads its edges and legs
-    from the pattern tangle it removes.
+    Each kind checks its anchor and picks its row of the move table, then
+    one of two tails rewrites: R1+ and R2+ glue the row's pattern into
+    edges cut from its replacement, and R1-, R2- and R3 cut the pattern out
+    at the anchor's vertices and glue the replacement in.  The cut is an
+    unvalidated record whose legs are the cut edge ends; the rewrite is the
+    one tangle built, and it is validated.
     """
     if g.arity:
         raise ValueError("moves apply to diagrams (arity 0) only")
@@ -364,45 +329,62 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
         _, edge = anchor
         if edge not in g.edges:
             raise ValueError(f"stale move site: edge {edge!r} not in diagram")
-        kink, strand = _MOVES[1]
-        return glue(_cut_edges(g, strand, (edge,)), kink)
-
-    if kind == "R1-":
+        row, cut = _MOVES[1], (edge,)
+    elif kind == "R1-":
         (v,) = anchor
         if not 0 <= v < g.num_vertices:
             raise ValueError(f"stale move site: no vertex {v}")
         r = _kink_rotation(g.edges, v)
         if r is None:
             raise ValueError(f"stale move site: vertex {v} carries no kink loop")
-        kink, strand = _MOVES[1]
-        return glue(_cut_vertices(g, kink, (v,), (r,), "kink"), strand)
-
-    if kind == "R2+":
+        row, at, rot = _MOVES[1], (v,), (r,)
+    elif kind == "R2+":
         ea, eb = anchor
         if ea == eb or ea not in g.edges or eb not in g.edges:
             raise ValueError("stale move site: need two distinct current edges")
-        pair, parallel = _MOVES[2]
-        return glue(_cut_edges(g, parallel, (ea, eb)), pair)
-
-    if kind == "R2-":
+        row, cut = _MOVES[2], (ea, eb)
+    elif kind == "R2-":
         u, w, ru, rw = anchor
         if not (0 <= u < g.num_vertices and 0 <= w < g.num_vertices) or u == w:
             raise ValueError("stale move site: bad vertex pair")
-        pair, parallel = _MOVES[2]
-        return glue(_cut_vertices(g, pair, (u, w), (ru, rw), "crossing pair"), parallel)
-
-    if kind == "R3":
+        row, at, rot = _MOVES[2], (u, w), (ru, rw)
+    elif kind == "R3":
         u, v, w, ru, rv, rw, direction = anchor
         if len({u, v, w}) != 3 or not all(0 <= x < g.num_vertices for x in (u, v, w)):
             raise ValueError("stale move site: bad vertex triple")
-        pattern, replacement = _MOVES[3]
+        row, at, rot = _MOVES[3], (u, v, w), (ru, rv, rw)
         if direction == -1:
-            pattern, replacement = replacement, pattern
+            row = (row[0], row[2], row[1])
         elif direction != +1:
             raise ValueError(f"bad R3 direction {direction!r}")
-        return glue(_cut_vertices(g, pattern, (u, v, w), (ru, rv, rw), "braid"), replacement)
+    else:
+        raise ValueError(f"unknown move kind {kind!r}")
+    name, pattern, replacement = row
 
-    raise ValueError(f"unknown move kind {kind!r}")
+    if kind in ("R1+", "R2+"):
+        # The two ends of the i-th cut edge become the two legs of the i-th
+        # sorted edge of the vertex-free replacement.
+        legs = []
+        for (la, lb), (a, b) in zip(_SPLIT[replacement][1], cut):
+            legs += ((la, a), (lb, b))
+        edges = g.edges.difference(cut).union(legs)
+        return glue(_Cut(g.num_vertices, len(legs), edges, g.loop_count), pattern)
+
+    # Pattern vertex p sits at vertex at[p] turned by rot[p]: its endpoint
+    # (p, s) is (at[p], (s + rot[p]) % 4), and each placed leg end becomes
+    # the pattern's leg.
+    internal, legs = _SPLIT[pattern]
+    cut = set()
+    for (p, s), (q, t) in internal:
+        a, b = (at[p], (s + rot[p]) % 4), (at[q], (t + rot[q]) % 4)
+        cut.add((a, b) if a < b else (b, a))
+    if not cut <= g.edges:
+        raise ValueError(f"stale move site: {name} pattern absent")
+    ends = {}
+    for leg, (p, s) in legs:
+        ends[(at[p], (s + rot[p]) % 4)] = leg
+    num_vertices, edges = _map_edges(g, ends, at, cut)
+    return glue(_Cut(num_vertices, len(ends), edges, g.loop_count), replacement)
 
 
 def random_move(g: Tangle, rng: np.random.Generator) -> tuple[MoveSite, Tangle]:

@@ -176,20 +176,35 @@ def test_pairing_identity(announce):
     )
 
 
-def test_determinant_kernel(announce):
+def _determinant_kernel(models) -> tuple[bool, str]:
+    """Whether each model, probed by 100 samples of at most three vertices
+    (model i drawn from seed 111 + 2i), leaves every determinant tangle in
+    the kernel within 1e-8 while its negative control exceeds 1e-3; and the
+    figures behind the verdict."""
     ok = True
     details = []
-    for n, model_seed, probe_seed in ((1, 110, 111), (2, 112, 113)):
-        model = vl.random_model(n, np.random.default_rng(model_seed))
+    for i, model in enumerate(models):
         report = vl.kernel_probe(
-            model, samples=100, max_vertices=3, rng=np.random.default_rng(probe_seed)
+            model, samples=100, max_vertices=3, rng=np.random.default_rng(111 + 2 * i)
         )
         ok = ok and report.passed(1e-8) and report.negative_control > 1e-3
         details.append(
-            f"n={n}: residual {report.max_scaled_residual:.2e}, "
+            f"n={model.n}: residual {report.max_scaled_residual:.2e}, "
             f"control {report.negative_control:.3g}"
         )
-    announce("determinant-tangle kernel", ok, "; ".join(details))
+    return ok, "; ".join(details)
+
+
+def test_determinant_kernel(announce):
+    models = [vl.random_model(n, np.random.default_rng(seed)) for n, seed in ((1, 110), (2, 112))]
+    announce("determinant-tangle kernel", *_determinant_kernel(models))
+
+
+def test_determinant_kernel_fails_on_zero_models():
+    # Negative control: a zero model vanishes on every control tangle, and
+    # every control tangle has a vertex, so the control reads 0.
+    ok, detail = _determinant_kernel([vl.VertexModel(n, np.zeros((n,) * 4)) for n in (1, 2)])
+    assert not ok, detail
 
 
 def _move_invariance(make_model, corpus) -> tuple[bool, str]:
@@ -228,28 +243,45 @@ def test_move_invariance_fails_on_a_random_strand_product(corpus):
     assert not ok, detail
 
 
-def test_failing_models_are_witnessed(corpus, announce):
+def _failing_models_witnessed(models, corpus) -> tuple[bool, str]:
+    """Whether every model fails the move conditions, `find_move_witness`
+    finds a move over ``corpus`` changing its f by more than 1e-6, and its
+    pairing rank equals its span rank at k = 2 and 4; and the figures
+    behind the verdict."""
     ok = True
+    witnessed = 0
     worst_delta = np.inf
-    for seed in range(10):
-        model = vl.random_model(2, np.random.default_rng(120 + seed), real=True)
-        if vl.check_algebraic(model).passed:  # vanishingly unlikely
+    for model in models:
+        if vl.check_algebraic(model).passed:
             ok = False
             continue
         hit = vl.find_move_witness(model, corpus)
         if hit is None or hit[2] <= 1e-6:
             ok = False
             continue
+        witnessed += 1
         worst_delta = min(worst_delta, hit[2])
         for arity in (2, 4):
             gram_rank, span_rank = vl.nondegeneracy_probe(model, arity, max_vertices=1)
             ok = ok and gram_rank == span_rank
-    announce(
-        "failing models witnessed",
-        ok,
-        f"10/10 witnesses with |delta f| > 1e-6 (min {worst_delta:.3g}), "
-        "pairing rank == span rank for k in {2, 4}",
+    return ok, (
+        f"{witnessed}/{len(models)} witnesses with |delta f| > 1e-6 (min {worst_delta:.3g}), "
+        "pairing rank == span rank for k in {2, 4}"
     )
+
+
+def test_failing_models_are_witnessed(corpus, announce):
+    models = [vl.random_model(2, np.random.default_rng(120 + seed), real=True) for seed in range(10)]
+    announce("failing models witnessed", *_failing_models_witnessed(models, corpus))
+
+
+def test_failing_models_witnessed_fails_on_controls(corpus):
+    # Negative controls, one per clause, each run alone: the transmission
+    # model passes the conditions; the knot-counting model fails them, yet
+    # no move over the corpus changes its f (it is 2^knots).
+    for model in (vl.transmission_model(2), vl.knot_counting_model()):
+        ok, detail = _failing_models_witnessed([model], corpus)
+        assert not ok, detail
 
 
 def test_real_gram_psd(announce):

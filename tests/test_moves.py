@@ -57,7 +57,7 @@ def test_knot_counting_model_fails_kink_condition():
     assert abs(report.residual_r1 - 4.0) < 1e-12  # |A^2 - I|_F for the stock A
     assert report.residual_r3 < 1e-12  # products of A never reorder
     assert not report.passed
-    assert report.pass_r3 and not report.pass_r1
+    assert report.residual_r3 <= report.bound < report.residual_r1
 
 
 def test_random_models_generically_fail():
