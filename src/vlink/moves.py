@@ -24,8 +24,11 @@ both its condition and every rewrite: `check_algebraic` takes residual k as
 the Frobenius norm of the evaluated move tangle k, and :func:`apply_move`
 rewrites a diagram by cutting the pattern out and gluing in the
 replacement, so invariance under rewriting and vanishing of the evaluated
-move tangles are literally the same statement.  A `ConditionReport` holds
-the three residuals and the one bound each is judged against.
+move tangles are literally the same statement.  An R1-, R2- or R3 anchor
+names distinct vertices and the frame rotation of each, 0 or 2: one slot
+would flip a crossing, and the rewrite would be no move.  A
+`ConditionReport` holds the three residuals and the one bound each is
+judged against.
 The cut is an unvalidated record that only `glue` reads, so the one tangle
 a rewrite builds is its result, validated as every tangle is.
 """
@@ -189,9 +192,9 @@ def move_tangles(kind: int) -> QuantumTangle:
 class MoveSite:
     """A locus where one Reidemeister rewrite applies.
 
-    Anchors by kind:
+    Anchors by kind, every frame rotation 0 or 2:
       R1+   ("edge", edge) or ("loop",)
-      R1-   (vertex,)
+      R1-   (vertex, rotation)
       R2+   (edge_a, edge_b), ordered and distinct
       R2-   (u, w, ru, rw): vertex pair with frame rotations
       R3    (u, v, w, ru, rv, rw, direction): direction +1 rewrites the left
@@ -220,8 +223,9 @@ def _vertex_anchors(g: Tangle) -> dict[str, list[tuple]]:
     partner = partner_map(g)
     found: dict[str, list[tuple]] = {"R1-": [], "R2-": [], "R3": []}
     for u in range(g.num_vertices):
-        if _kink_rotation(g.edges, u) is not None:
-            found["R1-"].append((u,))
+        r = _kink_rotation(g.edges, u)
+        if r is not None:
+            found["R1-"].append((u, r))
         for ru in (0, 2):
             x, sx = partner[(u, (2 + ru) % 4)]
             y, sy = partner[(u, (3 + ru) % 4)]
@@ -310,8 +314,9 @@ class _Cut(NamedTuple):
 def apply_move(g: Tangle, site: MoveSite) -> Tangle:
     """Rewrite ``g`` at ``site``; raises ValueError on a stale site.
 
-    Each kind checks its anchor and picks its row of the move table, then
-    one of two tails rewrites: R1+ and R2+ glue the row's pattern into
+    R1+ and R2+ check their edges, R1-, R2- and R3 their k vertices and k
+    rotations by one rule, and each kind picks its row of the move table.
+    One of two tails rewrites: R1+ and R2+ glue the row's pattern into
     edges cut from its replacement, and R1-, R2- and R3 cut the pattern out
     at the anchor's vertices and glue the replacement in.  The cut is an
     unvalidated record whose legs are the cut edge ends; the rewrite is the
@@ -330,33 +335,26 @@ def apply_move(g: Tangle, site: MoveSite) -> Tangle:
         if edge not in g.edges:
             raise ValueError(f"stale move site: edge {edge!r} not in diagram")
         row, cut = _MOVES[1], (edge,)
-    elif kind == "R1-":
-        (v,) = anchor
-        if not 0 <= v < g.num_vertices:
-            raise ValueError(f"stale move site: no vertex {v}")
-        r = _kink_rotation(g.edges, v)
-        if r is None:
-            raise ValueError(f"stale move site: vertex {v} carries no kink loop")
-        row, at, rot = _MOVES[1], (v,), (r,)
     elif kind == "R2+":
         ea, eb = anchor
         if ea == eb or ea not in g.edges or eb not in g.edges:
             raise ValueError("stale move site: need two distinct current edges")
         row, cut = _MOVES[2], (ea, eb)
-    elif kind == "R2-":
-        u, w, ru, rw = anchor
-        if not (0 <= u < g.num_vertices and 0 <= w < g.num_vertices) or u == w:
-            raise ValueError("stale move site: bad vertex pair")
-        row, at, rot = _MOVES[2], (u, w), (ru, rw)
-    elif kind == "R3":
-        u, v, w, ru, rv, rw, direction = anchor
-        if len({u, v, w}) != 3 or not all(0 <= x < g.num_vertices for x in (u, v, w)):
-            raise ValueError("stale move site: bad vertex triple")
-        row, at, rot = _MOVES[3], (u, v, w), (ru, rv, rw)
-        if direction == -1:
+    elif kind in ("R1-", "R2-", "R3"):
+        # An odd rotation would place the pattern with flipped crossings.
+        k = int(kind[1])
+        row, at, rot = _MOVES[k], anchor[:k], anchor[k : 2 * k]
+        if (
+            len(anchor) != 2 * k + (k == 3)
+            or len(set(at)) != k
+            or not 0 <= min(at) <= max(at) < g.num_vertices
+            or not set(rot) <= {0, 2}
+        ):
+            raise ValueError(f"stale move site: bad {row[0]} anchor {anchor}")
+        if k == 3 and anchor[6] not in (+1, -1):
+            raise ValueError(f"bad R3 direction {anchor[6]!r}")
+        if k == 3 and anchor[6] == -1:
             row = (row[0], row[2], row[1])
-        elif direction != +1:
-            raise ValueError(f"bad R3 direction {direction!r}")
     else:
         raise ValueError(f"unknown move kind {kind!r}")
     name, pattern, replacement = row

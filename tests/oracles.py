@@ -535,18 +535,6 @@ def _braid_right_tangle() -> Tangle:
     )
 
 
-def _loop_slots(g: Tangle, v: int) -> int | None:
-    """Frame rotation putting a loop edge of v onto slots 1,2; None if no
-    R1-compatible loop.  Loops on slots 0,1 or 2,3 are the other chirality
-    and are not kink sites."""
-    edges = g.edges
-    if tuple(sorted(((v, 1), (v, 2)))) in edges:
-        return 0
-    if tuple(sorted(((v, 0), (v, 3)))) in edges:
-        return 2
-    return None
-
-
 def _cut(
     g: Tangle,
     pattern_vertices: set[int],
@@ -579,6 +567,26 @@ def _edge(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Endpoint]:
     return tuple(sorted((a, b)))  # type: ignore[return-value]
 
 
+#: Vertex-anchored kinds: pattern name, vertex count and anchor length.
+_VERTEX_ANCHORED = {"R1-": ("kink", 1, 2), "R2-": ("crossing pair", 2, 4), "R3": ("braid", 3, 7)}
+
+
+def _check_vertex_anchor(g: Tangle, kind: str, anchor: tuple) -> None:
+    """Refuse an anchor that does not name the pattern's distinct vertices
+    of ``g``, each turned by a frame rotation of 0 or 2.  A quarter turn
+    swaps a vertex's over and under strands: the pattern would be placed
+    with a crossing flipped, and the rewrite would not be a move."""
+    name, k, length = _VERTEX_ANCHORED[kind]
+    vertices, rotations = anchor[:k], anchor[k : 2 * k]
+    if (
+        len(anchor) != length
+        or len(set(vertices)) != k
+        or not all(0 <= v < g.num_vertices for v in vertices)
+        or not all(r in (0, 2) for r in rotations)
+    ):
+        raise ValueError(f"stale move site: bad {name} anchor {anchor}")
+
+
 def reference_apply_move(g: Tangle, site) -> Tangle:
     """Rewrite ``g`` at ``site``; raises ValueError on a stale site."""
     if g.arity:
@@ -599,14 +607,14 @@ def reference_apply_move(g: Tangle, site) -> Tangle:
         complement = _cut_edges(g, [(p, 1), (q, 2)], {edge})
         return reference_glue(complement, _kink_tangle())
 
+    if kind in _VERTEX_ANCHORED:
+        _check_vertex_anchor(g, kind, anchor)
+
     if kind == "R1-":
-        (v,) = anchor
-        if not 0 <= v < g.num_vertices:
-            raise ValueError(f"stale move site: no vertex {v}")
-        r = _loop_slots(g, v)
-        if r is None:
-            raise ValueError(f"stale move site: vertex {v} carries no kink loop")
+        v, r = anchor
         loop = _edge((v, (1 + r) % 4), (v, (2 + r) % 4))
+        if loop not in g.edges:
+            raise ValueError("stale move site: kink pattern absent")
         boundary = {1: (v, r % 4), 2: (v, (3 + r) % 4)}
         complement = _cut(g, {v}, boundary, {loop})
         return reference_glue(complement, strand_tangle())
@@ -621,8 +629,6 @@ def reference_apply_move(g: Tangle, site) -> Tangle:
 
     if kind == "R2-":
         u, w, ru, rw = anchor
-        if not (0 <= u < g.num_vertices and 0 <= w < g.num_vertices) or u == w:
-            raise ValueError("stale move site: bad vertex pair")
         a = _edge((u, (2 + ru) % 4), (w, rw % 4))
         b = _edge((u, (3 + ru) % 4), (w, (3 + rw) % 4))
         if a not in g.edges or b not in g.edges:
@@ -638,8 +644,6 @@ def reference_apply_move(g: Tangle, site) -> Tangle:
 
     if kind == "R3":
         u, v, w, ru, rv, rw, direction = anchor
-        if len({u, v, w}) != 3 or not all(0 <= x < g.num_vertices for x in (u, v, w)):
-            raise ValueError("stale move site: bad vertex triple")
         if direction == +1:
             internal = {
                 _edge((u, (2 + ru) % 4), (v, rv % 4)),

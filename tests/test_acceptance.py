@@ -7,6 +7,7 @@ at desk scale or pins an exact reference value.
 """
 
 import itertools
+import sys
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 import vlink as vl
 
 from oracles import dfs_knot_components, naive_tangle_tensor
+from test_moves import _bracket_drift
 
 
 def _chained_move_deltas(model, diagrams, count, rng, cap=12):
@@ -151,7 +153,10 @@ def test_orthogonal_invariance_fails_on_a_scaled_model(small_corpus):
     assert not ok, detail
 
 
-def test_pairing_identity(announce):
+def _pairing_identity(pair) -> tuple[bool, str]:
+    """Whether ``pair(f(T), f(U))`` equals f of T glued to U, to 1e-9 scaled,
+    on 100 seeded pairs of 2- and 4-tangles under four models; and the
+    figure behind the verdict."""
     rng = np.random.default_rng(106)
     models = [
         vl.random_model(2, np.random.default_rng(107)),
@@ -165,15 +170,26 @@ def test_pairing_identity(announce):
         k = 2 if trial % 2 else 4
         t = vl.random_tangle(rng, k, int(rng.integers(3)))
         u = vl.random_tangle(rng, k, int(rng.integers(3)))
-        lhs = vl.pair(vl.tangle_tensor(model, t), vl.tangle_tensor(model, u))
+        lhs = pair(vl.tangle_tensor(model, t), vl.tangle_tensor(model, u))
         rhs = vl.partition_function(model, vl.glue(t, u))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     ok = worst <= 1e-9
-    announce(
-        "pairing identity",
-        ok,
-        f"worst scaled defect {worst:.2e} over 100 glued pairs, k in {{2, 4}}",
-    )
+    return ok, f"worst scaled defect {worst:.2e} over 100 glued pairs, k in {{2, 4}}"
+
+
+def test_pairing_identity(announce):
+    announce("pairing identity", *_pairing_identity(vl.pair))
+
+
+def _conjugating_pair(x, y):
+    """`vl.pair` with its first side conjugated."""
+    return vl.pair(np.conj(x), y)
+
+
+def test_pairing_identity_fails_when_pair_conjugates():
+    # Negative control: three of the four models are complex.
+    ok, detail = _pairing_identity(_conjugating_pair)
+    assert not ok, detail
 
 
 def _determinant_kernel(models) -> tuple[bool, str]:
@@ -187,7 +203,7 @@ def _determinant_kernel(models) -> tuple[bool, str]:
         report = vl.kernel_probe(
             model, samples=100, max_vertices=3, rng=np.random.default_rng(111 + 2 * i)
         )
-        ok = ok and report.passed(1e-8) and report.negative_control > 1e-3
+        ok = ok and report.passed(1e-8)
         details.append(
             f"n={model.n}: residual {report.max_scaled_residual:.2e}, "
             f"control {report.negative_control:.3g}"
@@ -195,9 +211,12 @@ def _determinant_kernel(models) -> tuple[bool, str]:
     return ok, "; ".join(details)
 
 
+def _kernel_models() -> list[vl.VertexModel]:
+    return [vl.random_model(n, np.random.default_rng(seed)) for n, seed in ((1, 110), (2, 112))]
+
+
 def test_determinant_kernel(announce):
-    models = [vl.random_model(n, np.random.default_rng(seed)) for n, seed in ((1, 110), (2, 112))]
-    announce("determinant-tangle kernel", *_determinant_kernel(models))
+    announce("determinant-tangle kernel", *_determinant_kernel(_kernel_models()))
 
 
 def test_determinant_kernel_fails_on_zero_models():
@@ -270,9 +289,12 @@ def _failing_models_witnessed(models, corpus) -> tuple[bool, str]:
     )
 
 
+def _witness_models() -> list[vl.VertexModel]:
+    return [vl.random_model(2, np.random.default_rng(120 + seed), real=True) for seed in range(10)]
+
+
 def test_failing_models_are_witnessed(corpus, announce):
-    models = [vl.random_model(2, np.random.default_rng(120 + seed), real=True) for seed in range(10)]
-    announce("failing models witnessed", *_failing_models_witnessed(models, corpus))
+    announce("failing models witnessed", *_failing_models_witnessed(_witness_models(), corpus))
 
 
 def test_failing_models_witnessed_fails_on_controls(corpus):
@@ -300,7 +322,11 @@ def test_real_gram_psd(announce):
     )
 
 
-def test_derivative_tangles(announce):
+def _derivative_tangles(fd_check) -> tuple[bool, str]:
+    """Whether ``fd_check`` stays within the h^2 bound on 50 seeded random
+    diagrams and models, and at round-off on 10 one-vertex diagrams, where
+    f is linear in R and the central difference exact; and the figures
+    behind the verdict."""
     rng = np.random.default_rng(160)
     worst_scaled = 0.0
     for _ in range(50):
@@ -308,22 +334,37 @@ def test_derivative_tangles(announce):
         direction = vl.random_model(2, rng)
         g = vl.random_tangle(rng, 0, 1 + int(rng.integers(3)))
         bound = 1e-5 * (1.0 + model.norm**4 * direction.norm)
-        worst_scaled = max(worst_scaled, vl.fd_check(model, g, direction) / bound)
+        worst_scaled = max(worst_scaled, fd_check(model, g, direction) / bound)
     worst_linear = 0.0
     for seed in range(10):
         model = vl.random_model(2, np.random.default_rng(170 + seed))
         direction = vl.random_model(2, np.random.default_rng(180 + seed))
         g = vl.random_tangle(np.random.default_rng(190 + seed), 0, 1)
-        # One vertex: f is linear in R, so the central difference is exact
-        # and only round-off remains.
-        worst_linear = max(worst_linear, vl.fd_check(model, g, direction, h=1e-2))
+        worst_linear = max(worst_linear, fd_check(model, g, direction, h=1e-2))
     ok = worst_scaled <= 1.0 and worst_linear <= 1e-10
-    announce(
-        "derivative tangles",
-        ok,
+    return ok, (
         f"50 diagrams within the h^2 bound (worst ratio {worst_scaled:.2e}), "
-        f"one-vertex error {worst_linear:.2e}",
+        f"one-vertex error {worst_linear:.2e}"
     )
+
+
+def test_derivative_tangles(announce):
+    announce("derivative tangles", *_derivative_tangles(vl.fd_check))
+
+
+def _fd_check_conjugating(model, g, direction, h=1e-5):
+    """`vl.fd_check` pairing the conjugated derivative with the direction."""
+    f_plus = vl.partition_function(model.perturbed(direction, +h), g)
+    f_minus = vl.partition_function(model.perturbed(direction, -h), g)
+    derivative = vl.qt_evaluate(model, vl.tangle_derivative(g))
+    return abs((f_plus - f_minus) / (2.0 * h) - _conjugating_pair(derivative, direction.entries))
+
+
+def test_derivative_tangles_fail_when_pair_conjugates():
+    # Negative control: the models are complex, so the conjugated pairing
+    # misses the derivative.
+    ok, detail = _derivative_tangles(_fd_check_conjugating)
+    assert not ok, detail
 
 
 def _chain_diagram(length: int) -> vl.Tangle:
@@ -365,8 +406,10 @@ def _naive_prefix_seconds(entries, n, t, prefix: int) -> tuple[float, int]:
     return elapsed, n**prefix
 
 
-def test_planner_equivalence_and_speed(small_corpus, announce):
-    # Equivalence: the planned contraction reproduces naive enumeration.
+def _planner_equivalence(tangle_tensor, small_corpus) -> tuple[bool, str]:
+    """Whether ``tangle_tensor`` reproduces naive enumeration, to 1e-10
+    scaled, on the small corpus and five tangles, under a random model and
+    the transmission model; and the figure behind the verdict."""
     worst = 0.0
     zoo = list(small_corpus) + [
         vl.strand_tangle(),
@@ -378,10 +421,26 @@ def test_planner_equivalence_and_speed(small_corpus, announce):
     for model in (vl.random_model(2, np.random.default_rng(200)), vl.transmission_model(3)):
         for t in zoo:
             ref = naive_tangle_tensor(model.entries, model.n, t)
-            got = vl.tangle_tensor(model, t)
+            got = tangle_tensor(model, t)
             scale = 1.0 + float(np.max(np.abs(ref)))
             worst = max(worst, float(np.max(np.abs(got - ref))) / scale)
-    equal = worst <= 1e-10
+    return worst <= 1e-10, f"worst defect {worst:.2e}"
+
+
+def _turned_tangle_tensor(model, t):
+    """`vl.tangle_tensor` with the vertex tensor turned one slot, which
+    keeps it swap-invariant."""
+    return vl.tangle_tensor(vl.VertexModel(model.n, model.entries.transpose(1, 2, 3, 0)), t)
+
+
+def test_planner_equivalence_fails_on_a_turned_vertex_tensor(small_corpus):
+    # Negative control: the random model is not invariant under the turn.
+    ok, detail = _planner_equivalence(_turned_tangle_tensor, small_corpus)
+    assert not ok, detail
+
+
+def test_planner_equivalence_and_speed(small_corpus, announce):
+    equal, equivalence = _planner_equivalence(vl.tangle_tensor, small_corpus)
 
     # Speed: an eight-vertex chain at n = 4 has 4**16 colorings.  Timing a
     # strictly-cheaper prefix loop gives a lower bound on full enumeration.
@@ -400,6 +459,111 @@ def test_planner_equivalence_and_speed(small_corpus, announce):
     announce(
         "planner equivalence and speed",
         ok,
-        f"worst defect {worst:.2e}; planner {planner_seconds * 1e3:.1f} ms vs "
+        f"{equivalence}; planner {planner_seconds * 1e3:.1f} ms vs "
         f"naive floor {naive_floor:.0f} s (x{naive_floor / max(planner_seconds, 1e-9):.0f})",
     )
+
+
+# ---------------------------------------------------------------------------
+# Mutants: each acceptance line fails under some fault in the code
+
+
+def _mutate(monkeypatch, module, name, make) -> None:
+    """Bind ``make(original)`` in place of ``module.name`` in every vlink
+    module that binds the original."""
+    original = getattr(module, name)
+    mutant = make(original)
+    for key, loaded in list(sys.modules.items()):
+        if key.partition(".")[0] == "vlink" and getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, mutant)
+
+
+def _turned_at_vertex_0(t: vl.Tangle) -> vl.Tangle:
+    """``t`` with vertex 0 turned one slot, which flips its crossing."""
+
+    def turn(end):
+        return (0, (end[1] + 1) % 4) if end[0] == 0 else end
+
+    return vl.build_tangle(t.num_vertices, [(turn(a), turn(b)) for a, b in t.edges], t.loop_count)
+
+
+def _unscaled_tangle_tensor(model, t):
+    """`vl.tangle_tensor` without the factor n^loops."""
+    return vl.contraction.execute_plan(model.entries, model.n, t, vl.plan_contraction(t, model.n))
+
+
+#: Each mutant as (module, name, make, lines): ``make`` builds the mutant
+#: from the original function, and ``lines`` are the checks it must fail.
+#: Scaling the Gram rows by 1 + v is a mutant too, but no acceptance line
+#: can see it: the Gram that real Gram positivity reads is a product
+#: rows @ rows.T, positive semidefinite by construction.
+MUTANTS = {
+    "vertex tensor turned in tangle_tensor": (
+        vl.model,
+        "execute_plan",
+        lambda f: lambda entries, n, t, plan: f(entries.transpose(1, 2, 3, 0), n, t, plan),
+        ("derivative tangles", "planner equivalence"),
+    ),
+    "n^loops dropped": (
+        vl.model,
+        "tangle_tensor",
+        lambda f: _unscaled_tangle_tensor,
+        (
+            "knot-count realization",
+            "pairing identity",
+            "determinant-tangle kernel",
+            "transmission invariance",
+            "planner equivalence",
+        ),
+    ),
+    "det_tangle without signs": (
+        vl.algebra,
+        "det_tangle",
+        lambda f: lambda m: vl.QuantumTangle(tuple((t, abs(c)) for t, c in f(m))),
+        ("determinant-tangle kernel",),
+    ),
+    "pair conjugates one side": (
+        vl.model,
+        "pair",
+        lambda f: lambda x, y: f(np.conj(x), y),
+        ("pairing identity", "derivative tangles"),
+    ),
+    "apply_move turns vertex 0": (
+        vl.moves,
+        "apply_move",
+        lambda f: lambda g, site: _turned_at_vertex_0(f(g, site)),
+        ("bracket rewrites",),
+    ),
+    "apply_move returns its input": (
+        vl.moves,
+        "apply_move",
+        lambda f: lambda g, site: g,
+        ("failing models witnessed",),
+    ),
+}
+
+
+def test_every_mutant_fails_its_checks(monkeypatch, corpus, small_corpus):
+    # Each check reads the patched functions through the vlink namespace at
+    # call time, and builds its models afresh, so no value kept on a
+    # diagram by an earlier evaluation is read back.  The flip of one
+    # crossing is seen by no acceptance line, only by the bracket, whose
+    # f changes with a crossing (tests/test_moves.py).
+    checks = {
+        "knot-count realization": lambda: _knot_count_realization(
+            vl.knot_counting_model(), corpus
+        ),
+        "pairing identity": lambda: _pairing_identity(vl.pair),
+        "determinant-tangle kernel": lambda: _determinant_kernel(_kernel_models()),
+        "transmission invariance": lambda: _move_invariance(vl.transmission_model, corpus),
+        "failing models witnessed": lambda: _failing_models_witnessed(_witness_models(), corpus),
+        "derivative tangles": lambda: _derivative_tangles(vl.fd_check),
+        "planner equivalence": lambda: _planner_equivalence(vl.tangle_tensor, small_corpus),
+        "bracket rewrites": lambda: (_bracket_drift()[0] <= 1e-9, "bracket drift"),
+    }
+    for name, (module, attr, make, lines) in MUTANTS.items():
+        with monkeypatch.context() as patch:
+            _mutate(patch, module, attr, make)
+            for line in lines:
+                ok, detail = checks[line]()
+                assert not ok, (name, line, detail)

@@ -130,7 +130,7 @@ def test_sites_on_one_crossing():
 def test_kink_chirality_distinguishes_r1_sites():
     kink = vl.parse_tangle("x v1 a b b a")  # loop on slots 1,2
     other = vl.parse_tangle("x v1 a a b b")  # loops on slots 0,1 and 2,3
-    assert vl.enumerate_move_sites(kink, "R1-") == [vl.MoveSite("R1-", (0,))]
+    assert vl.enumerate_move_sites(kink, "R1-") == [vl.MoveSite("R1-", (0, 0))]
     assert vl.enumerate_move_sites(other, "R1-") == []
 
 
@@ -192,7 +192,7 @@ def test_moves_refuse_a_tangle_with_legs():
     # An open kink: it carries an R1- site as a diagram would.
     open_kink = vl.parse_tangle("x v1 a b b c\nleg 1 a\nleg 2 c")
     with pytest.raises(ValueError, match=r"moves apply to diagrams \(arity 0\) only"):
-        vl.apply_move(open_kink, vl.MoveSite("R1-", (0,)))
+        vl.apply_move(open_kink, vl.MoveSite("R1-", (0, 0)))
     with pytest.raises(ValueError, match=r"move sites are enumerated on diagrams \(arity 0\) only"):
         vl.random_move(open_kink, np.random.default_rng(0))
 
@@ -203,7 +203,7 @@ def test_moves_refuse_a_tangle_with_legs():
 
 def test_r1_minus_unknots_the_kink():
     g = vl.parse_tangle("x v1 a b b a")
-    out = vl.apply_move(g, vl.MoveSite("R1-", (0,)))
+    out = vl.apply_move(g, vl.MoveSite("R1-", (0, 0)))
     assert out == vl.loop_diagram(1)
 
 
@@ -211,7 +211,7 @@ def test_r1_plus_on_loop_round_trip():
     g = vl.loop_diagram(1)
     kinked = vl.apply_move(g, vl.MoveSite("R1+", ("loop",)))
     assert kinked.num_vertices == 1 and kinked.loop_count == 0
-    back = vl.apply_move(kinked, vl.MoveSite("R1-", (0,)))
+    back = vl.apply_move(kinked, vl.MoveSite("R1-", (0, 0)))
     assert back == g
 
 
@@ -266,6 +266,80 @@ def test_r3_round_trip_up_to_isomorphism():
             for s in vl.enumerate_move_sites(moved, "R3")
         ]
         assert key in back
+
+
+def _bracket_model() -> vl.VertexModel:
+    """The Kauffman bracket at n = 3: R = A d_ij d_kl + A^-1 d_il d_jk with
+    loop value -A^2 - A^-2 = 3.  It passes the return and slide conditions
+    but not the kink one, and a flipped crossing trades A for A^-1, so its
+    f sees a rewrite that flips a crossing; the f of the models above
+    depends only on the strands."""
+    n = 3
+    a = 1j * np.sqrt((3 - np.sqrt(5)) / 2)
+    eye = np.eye(n)
+    entries = a * np.einsum("ij,kl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye) / a
+    return vl.VertexModel(n, entries)
+
+
+def _bracket_drift() -> tuple[float, list[vl.MoveSite]]:
+    """The worst relative change of f under `_bracket_model` over every
+    enumerated R2+ rewrite and every R2- and R3 anchor, rotations 0..3,
+    that `vl.apply_move` accepts, and the sites it accepted.  The seeded
+    diagrams are the closed braid and random tangles closed by a crossing
+    pair or a braid, so that R2- and R3 sites occur."""
+    model = _bracket_model()
+    (pair,) = [t for t, c in vl.move_tangles(2) if c == 1.0]
+    rng = np.random.default_rng(31)
+    diagrams = [_closed_braid()]
+    for vertices in range(3):
+        diagrams.append(vl.glue(vl.random_tangle(rng, 4, vertices + 1), pair))
+        diagrams.append(vl.glue(vl.random_tangle(rng, 6, vertices), _braid_left()))
+    rotations = range(4)
+    worst, accepted = 0.0, []
+    for g in diagrams:
+        before = vl.partition_function(model, g)
+        ids = range(g.num_vertices)
+        sites = vl.enumerate_move_sites(g, "R2+")
+        sites += [vl.MoveSite("R2-", a) for a in itertools.product(ids, ids, rotations, rotations)]
+        sites += [
+            vl.MoveSite("R3", (*vertices, *turns, direction))
+            for vertices in itertools.permutations(ids, 3)
+            for turns in itertools.product(rotations, repeat=3)
+            for direction in (1, -1)
+        ]
+        for site in sites:
+            try:
+                moved = vl.apply_move(g, site)
+            except ValueError:
+                continue
+            after = vl.partition_function(model, moved)
+            worst = max(worst, abs(after - before) / abs(before))
+            accepted.append(site)
+    return worst, accepted
+
+
+def test_rewrites_keep_the_bracket():
+    # Rewrites that keep every crossing keep the bracket's f; a rotation of
+    # 1 or 3 flips a crossing and is refused.
+    worst, accepted = _bracket_drift()
+    assert worst <= 1e-9, worst
+    kinds = {kind: sum(site.kind == kind for site in accepted) for kind in ("R2+", "R2-", "R3")}
+    assert min(kinds.values()) > 0, kinds
+    for site in accepted:
+        if site.kind != "R2+":
+            k = int(site.kind[1])
+            assert set(site.anchor[k : 2 * k]) <= {0, 2}, site
+
+
+def test_the_clasp_has_no_r2_minus_site():
+    # Two vertices joined slot to slot with their first two slots crossed:
+    # no crossing pair.  R2- (0, 1, 2, 1) turns vertex 1 one slot and would
+    # cut the clasp to one loop, moving the bracket's f from -5.29 to 3.
+    clasp = vl.parse_tangle("x v0 e0 e1 e2 e3\nx v1 e1 e0 e2 e3")
+    assert vl.enumerate_move_sites(clasp, "R2-") == []
+    message = r"^stale move site: bad crossing pair anchor \(0, 1, 2, 1\)$"
+    with pytest.raises(ValueError, match=message):
+        vl.apply_move(clasp, vl.MoveSite("R2-", (0, 1, 2, 1)))
 
 
 def _rewrite_diagrams() -> list[vl.Tangle]:
@@ -329,9 +403,9 @@ def test_stale_sites_raise():
     with pytest.raises(ValueError, match="stale"):
         vl.apply_move(vl.loop_diagram(2), edge_site)
     with pytest.raises(ValueError, match="stale"):
-        vl.apply_move(g, vl.MoveSite("R1-", (0,)))
+        vl.apply_move(g, vl.MoveSite("R1-", (0, 0)))
     with pytest.raises(ValueError, match="stale"):
-        vl.apply_move(kink, vl.MoveSite("R1-", (7,)))
+        vl.apply_move(kink, vl.MoveSite("R1-", (7, 0)))
     with pytest.raises(ValueError, match="stale"):
         vl.apply_move(g, vl.MoveSite("R1+", ("loop",)))
     with pytest.raises(ValueError, match="stale"):
@@ -340,8 +414,8 @@ def test_stale_sites_raise():
 
 def test_every_vertex_anchor_matches_reference_or_its_error():
     # Every R1-, R2- and R3 anchor over the vertices (one past the end too),
-    # the rotations 0..3 (the rewrite reads them mod 4) and the directions
-    # of small diagrams, most of them stale.  The rewrite and the reference
+    # the rotations 0..3 and the directions of small diagrams, most of them
+    # stale, and anchors one entry short.  The rewrite and the reference
     # agree on the result or on the error message; no anchor that passes
     # the pattern checks leaves a slot of a pattern vertex uncovered.
     rng = np.random.default_rng(23)
@@ -351,7 +425,10 @@ def test_every_vertex_anchor_matches_reference_or_its_error():
     outcomes = {"applied": 0, "stale": 0}
     for g in diagrams:
         ids = range(g.num_vertices + 1)
-        sites = [vl.MoveSite("R1-", (v,)) for v in range(-1, g.num_vertices + 1)]
+        sites = [
+            vl.MoveSite("R1-", (v, r))
+            for v, r in itertools.product(range(-1, g.num_vertices + 1), rotations)
+        ]
         sites += [
             vl.MoveSite("R2-", (u, w, ru, rw))
             for u, w, ru, rw in itertools.product(ids, ids, rotations, rotations)
@@ -362,6 +439,7 @@ def test_every_vertex_anchor_matches_reference_or_its_error():
             for ru, rv, rw in itertools.product(rotations, repeat=3)
             for direction in (1, -1, 0)
         ]
+        sites += [vl.MoveSite(site.kind, site.anchor[:-1]) for site in sites]
         for site in sites:
             _check_against_reference(g, site, outcomes)
     assert min(outcomes.values()) > 0, outcomes
@@ -424,16 +502,16 @@ def test_random_move_deterministic():
 CHAIN_GOLDEN = [
     ("R3", (2, 1, 0, 0, 2, 0, 1)),
     ("R2+", (((0, 2), (2, 1)), ((1, 2), (2, 0)))),
-    ("R1-", (1,)),
+    ("R1-", (1, 2)),
     ("R1+", ("edge", ((0, 0), (0, 1)))),
     ("R1+", ("edge", ((0, 1), (4, 3)))),
     ("R2-", (2, 3, 0, 0)),
-    ("R1-", (3,)),
+    ("R1-", (3, 0)),
     ("R2+", (((0, 3), (1, 0)), ((1, 2), (1, 3)))),
     ("R2-", (3, 4, 0, 0)),
     ("R2+", (((0, 3), (1, 0)), ((0, 1), (2, 3)))),
     ("R2+", (((3, 3), (4, 3)), ((0, 3), (3, 0)))),
-    ("R1-", (2,)),
+    ("R1-", (2, 0)),
     ("R3", (3, 2, 0, 2, 2, 0, 1)),
     ("R1+", ("edge", ((1, 1), (4, 3)))),
     ("R3", (5, 4, 3, 2, 2, 2, 1)),
