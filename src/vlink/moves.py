@@ -24,9 +24,10 @@ both its condition and every rewrite: `check_algebraic` takes residual k as
 the Frobenius norm of the evaluated move tangle k, and :func:`apply_move`
 rewrites a diagram by cutting the pattern out and gluing in the
 replacement, so invariance under rewriting and vanishing of the evaluated
-move tangles are literally the same statement.  An R1-, R2- or R3 anchor
-names distinct vertices and the frame rotation of each, 0 or 2: one slot
-would flip a crossing, and the rewrite would be no move.  A
+move tangles are literally the same statement.  Each anchor family has one
+placement rule: an R1+ or R2+ anchor names k distinct current edges, and an
+R1-, R2- or R3 anchor k distinct vertices and the frame rotation of each, 0
+or 2: one slot would flip a crossing, and the rewrite would be no move.  A
 `ConditionReport` holds the three residuals and the one bound each is
 judged against.
 The cut is an unvalidated record that only `glue` reads, so the one tangle
@@ -192,8 +193,9 @@ def move_tangles(kind: int) -> QuantumTangle:
 class MoveSite:
     """A locus where one Reidemeister rewrite applies.
 
-    Anchors by kind, every frame rotation 0 or 2:
-      R1+   ("edge", edge) or ("loop",)
+    Anchors by kind, every edge one of the diagram's, ends in sorted order,
+    and every frame rotation 0 or 2:
+      R1+   (edge,) or ("loop",)
       R1-   (vertex, rotation)
       R2+   (edge_a, edge_b), ordered and distinct
       R2-   (u, w, ru, rw): vertex pair with frame rotations
@@ -273,7 +275,7 @@ class _SiteTable:
     def anchor(self, kind: str, q: int) -> tuple:
         """The anchor of site q of ``kind``, 0 <= q < ``counts[kind]``."""
         if kind == "R1+":
-            return ("loop",) if q == len(self.edges) else ("edge", self.edges[q])
+            return ("loop",) if q == len(self.edges) else (self.edges[q],)
         if kind == "R2+":
             i, r = divmod(q, len(self.edges) - 1)
             return (self.edges[i], self.edges[r if r < i else r + 1])
@@ -285,7 +287,11 @@ class _SiteTable:
 
 
 def enumerate_move_sites(g: Tangle, kind: str) -> list[MoveSite]:
-    """All sites of one move kind, in a fixed deterministic order.
+    """The sites of one move kind, in a fixed deterministic order.
+
+    R1-, R2- and R3 list every site.  R1+ and R2+ list each edge in its
+    sorted orientation only, the lesser end taking leg 1 of the
+    replacement, so their lists depend on the vertex labelling.
 
     R1-, R2- and R3 cost O(v): each site is fixed by its first vertex u, the
     frame rotation ru and the partners of slots 2+ru and 3+ru, so one pass
@@ -314,59 +320,52 @@ class _Cut(NamedTuple):
 def apply_move(g: Tangle, site: MoveSite) -> Tangle:
     """Rewrite ``g`` at ``site``; raises ValueError on a stale site.
 
-    R1+ and R2+ check their edges, R1-, R2- and R3 their k vertices and k
-    rotations by one rule, and each kind picks its row of the move table.
-    One of two tails rewrites: R1+ and R2+ glue the row's pattern into
-    edges cut from its replacement, and R1-, R2- and R3 cut the pattern out
-    at the anchor's vertices and glue the replacement in.  The cut is an
+    Kind Rk reads row k of the move table, and each anchor family is
+    checked by one rule directly above its tail: an R1+ or R2+ anchor must
+    be k distinct current edges, and the row's pattern is glued into those
+    edges cut from its replacement; an R1-, R2- or R3 anchor must be k
+    distinct vertices and k rotations in {0, 2}, and the pattern is cut out
+    at those vertices and the replacement glued in.  R1+ at ``("loop",)``
+    glues a closed kink in for a vertexless loop.  The cut is an
     unvalidated record whose legs are the cut edge ends; the rewrite is the
     one tangle built, and it is validated.
     """
     if g.arity:
         raise ValueError("moves apply to diagrams (arity 0) only")
     kind, anchor = site.kind, site.anchor
-
-    if kind == "R1+":
-        if anchor == ("loop",):
-            if not g.loop_count:
-                raise ValueError("stale move site: diagram has no vertexless loop")
-            return glue(_Cut(g.num_vertices, 0, g.edges, g.loop_count - 1), _CLOSED_KINK)
-        _, edge = anchor
-        if edge not in g.edges:
-            raise ValueError(f"stale move site: edge {edge!r} not in diagram")
-        row, cut = _MOVES[1], (edge,)
-    elif kind == "R2+":
-        ea, eb = anchor
-        if ea == eb or ea not in g.edges or eb not in g.edges:
-            raise ValueError("stale move site: need two distinct current edges")
-        row, cut = _MOVES[2], (ea, eb)
-    elif kind in ("R1-", "R2-", "R3"):
-        # An odd rotation would place the pattern with flipped crossings.
-        k = int(kind[1])
-        row, at, rot = _MOVES[k], anchor[:k], anchor[k : 2 * k]
-        if (
-            len(anchor) != 2 * k + (k == 3)
-            or len(set(at)) != k
-            or not 0 <= min(at) <= max(at) < g.num_vertices
-            or not set(rot) <= {0, 2}
-        ):
-            raise ValueError(f"stale move site: bad {row[0]} anchor {anchor}")
-        if k == 3 and anchor[6] not in (+1, -1):
-            raise ValueError(f"bad R3 direction {anchor[6]!r}")
-        if k == 3 and anchor[6] == -1:
-            row = (row[0], row[2], row[1])
-    else:
+    if kind == "R1+" and anchor == ("loop",):
+        if not g.loop_count:
+            raise ValueError("stale move site: diagram has no vertexless loop")
+        return glue(_Cut(g.num_vertices, 0, g.edges, g.loop_count - 1), _CLOSED_KINK)
+    if kind not in MOVE_KINDS:
         raise ValueError(f"unknown move kind {kind!r}")
-    name, pattern, replacement = row
+    k = int(kind[1])
+    name, pattern, replacement = _MOVES[k]
 
     if kind in ("R1+", "R2+"):
+        if len(anchor) != k or len(set(anchor)) != k or not g.edges.issuperset(anchor):
+            raise ValueError(f"stale move site: bad {name} anchor {anchor}")
         # The two ends of the i-th cut edge become the two legs of the i-th
         # sorted edge of the vertex-free replacement.
         legs = []
-        for (la, lb), (a, b) in zip(_SPLIT[replacement][1], cut):
+        for (la, lb), (a, b) in zip(_SPLIT[replacement][1], anchor):
             legs += ((la, a), (lb, b))
-        edges = g.edges.difference(cut).union(legs)
+        edges = g.edges.difference(anchor).union(legs)
         return glue(_Cut(g.num_vertices, len(legs), edges, g.loop_count), pattern)
+
+    # An odd rotation would place the pattern with flipped crossings.
+    at, rot = anchor[:k], anchor[k : 2 * k]
+    if (
+        len(anchor) != 2 * k + (k == 3)
+        or len(set(at)) != k
+        or not 0 <= min(at) <= max(at) < g.num_vertices
+        or not set(rot) <= {0, 2}
+    ):
+        raise ValueError(f"stale move site: bad {name} anchor {anchor}")
+    if k == 3 and anchor[6] not in (+1, -1):
+        raise ValueError(f"bad R3 direction {anchor[6]!r}")
+    if k == 3 and anchor[6] == -1:
+        pattern, replacement = replacement, pattern
 
     # Pattern vertex p sits at vertex at[p] turned by rot[p]: its endpoint
     # (p, s) is (at[p], (s + rot[p]) % 4), and each placed leg end becomes

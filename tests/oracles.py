@@ -587,28 +587,41 @@ def _check_vertex_anchor(g: Tangle, kind: str, anchor: tuple) -> None:
         raise ValueError(f"stale move site: bad {name} anchor {anchor}")
 
 
+#: Edge-anchored kinds: pattern name and edge count.
+_EDGE_ANCHORED = {"R1+": ("kink", 1), "R2+": ("crossing pair", 2)}
+
+
+def _check_edge_anchor(g: Tangle, kind: str, anchor: tuple) -> None:
+    """Refuse an anchor that does not name the pattern's distinct current
+    edges of ``g``, each in the sorted orientation the diagram stores."""
+    name, k = _EDGE_ANCHORED[kind]
+    if len(anchor) != k or len(set(anchor)) != k or not all(e in g.edges for e in anchor):
+        raise ValueError(f"stale move site: bad {name} anchor {anchor}")
+
+
 def reference_apply_move(g: Tangle, site) -> Tangle:
     """Rewrite ``g`` at ``site``; raises ValueError on a stale site."""
     if g.arity:
         raise ValueError("moves apply to diagrams (arity 0) only")
     kind, anchor = site.kind, site.anchor
 
+    if kind == "R1+" and anchor == ("loop",):
+        if not g.loop_count:
+            raise ValueError("stale move site: diagram has no vertexless loop")
+        trimmed = Tangle(g.num_vertices, 0, g.edges, g.loop_count - 1)
+        closed_kink = build_tangle(1, [((0, 0), (0, 3)), ((0, 1), (0, 2))])
+        return reference_glue(trimmed, closed_kink)
+
+    if kind in _EDGE_ANCHORED:
+        _check_edge_anchor(g, kind, anchor)
+    if kind in _VERTEX_ANCHORED:
+        _check_vertex_anchor(g, kind, anchor)
+
     if kind == "R1+":
-        if anchor == ("loop",):
-            if not g.loop_count:
-                raise ValueError("stale move site: diagram has no vertexless loop")
-            trimmed = Tangle(g.num_vertices, 0, g.edges, g.loop_count - 1)
-            closed_kink = build_tangle(1, [((0, 0), (0, 3)), ((0, 1), (0, 2))])
-            return reference_glue(trimmed, closed_kink)
-        _, edge = anchor
-        if edge not in g.edges:
-            raise ValueError(f"stale move site: edge {edge!r} not in diagram")
+        (edge,) = anchor
         p, q = edge
         complement = _cut_edges(g, [(p, 1), (q, 2)], {edge})
         return reference_glue(complement, _kink_tangle())
-
-    if kind in _VERTEX_ANCHORED:
-        _check_vertex_anchor(g, kind, anchor)
 
     if kind == "R1-":
         v, r = anchor
@@ -621,8 +634,6 @@ def reference_apply_move(g: Tangle, site) -> Tangle:
 
     if kind == "R2+":
         ea, eb = anchor
-        if ea == eb or ea not in g.edges or eb not in g.edges:
-            raise ValueError("stale move site: need two distinct current edges")
         (p1, q1), (p2, q2) = ea, eb
         complement = _cut_edges(g, [(p1, 1), (p2, 2), (q1, 3), (q2, 4)], {ea, eb})
         return reference_glue(complement, _crossing_pair_tangle())
