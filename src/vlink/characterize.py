@@ -455,8 +455,12 @@ def fd_check(
     The derivative tangle evaluates to a 4-leg tensor; pairing it with the
     direction tensor gives the exact directional derivative, so the return
     value is the finite-difference error (zero up to O(h^2) terms, exactly
-    zero for diagrams with fewer than three vertices).
+    zero for diagrams with fewer than three vertices).  A step ``h`` that is
+    zero or not finite is a ValueError; a negative one serves as well as
+    its absolute value.
     """
+    if not (h and math.isfinite(h)):
+        raise ValueError(f"step h must be finite and nonzero, got {h!r}")
     f_plus = partition_function(model.perturbed(direction, +h), g)
     f_minus = partition_function(model.perturbed(direction, -h), g)
     central = (f_plus - f_minus) / (2.0 * h)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -214,32 +215,24 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     model = _load_model_arg(args)
     for path in args.paths:
         if path.endswith(".qtl"):
-            value = qt_evaluate(model, load_quantum_tangle(path))
+            source, evaluate = load_quantum_tangle(path), qt_evaluate
         else:
-            value = tangle_tensor(model, load_tangle(path))
+            source, evaluate = load_tangle(path), tangle_tensor
+        try:
+            value = evaluate(model, source)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         if not np.isfinite(value).all():
             raise ValueError(f"{path}: value is not finite (the evaluation overflowed)")
-        if value.ndim:
-            for idx in np.ndindex(value.shape):
-                z = complex(value[idx])
-                pos = " ".join(str(i + 1) for i in idx)
-                _emit(
-                    args,
-                    f"{pos} {_fmt_complex(z)}",
-                    {
-                        "path": path,
-                        "index": [i + 1 for i in idx],
-                        "re": z.real + 0.0,
-                        "im": z.imag + 0.0,
-                    },
-                )
-        else:
-            z = complex(value)
-            _emit(
-                args,
-                _fmt_complex(z),
-                {"path": path, "re": z.real + 0.0, "im": z.imag + 0.0},
-            )
+        # A diagram's value is 0-d: `product` yields its one index, (), and
+        # its record has no "index".
+        for idx in itertools.product(*map(range, value.shape)):
+            z = complex(value[idx])
+            index = [i + 1 for i in idx]
+            record = {"path": path, "index": index, "re": z.real + 0.0, "im": z.imag + 0.0}
+            if not index:
+                del record["index"]
+            _emit(args, " ".join([*map(str, index), _fmt_complex(z)]), record)
     return 0
 
 
@@ -263,12 +256,12 @@ def _cmd_moves(args: argparse.Namespace) -> int:
     for _ in range(args.count):
         pick = int(rng.integers(len(diagrams)))
         g = diagrams[pick]
-        f_before = partition_function(model, g)
         try:
+            f_before = partition_function(model, g)
             _, moved = random_move(g, rng)
+            f_after = partition_function(model, moved)
         except ValueError as exc:
             raise ValueError(f"{args.paths[pick]}: {exc}") from exc
-        f_after = partition_function(model, moved)
         try:
             scaled = abs(f_after - f_before) / (1.0 + abs(f_before))
         except OverflowError:  # the abs of a finite complex past the float range

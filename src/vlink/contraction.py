@@ -43,10 +43,10 @@ vertices, n=3 and 4) the search cuts total multiply-adds to 0.28-0.50 of
 greedy's, and the largest intermediate from 16 MiB (256 MiB on seed 6) to
 1 MiB.
 
-A plan is compiled when it is made: besides the merge pairs it holds, for
-each initial node in id order, whether it is an identity matrix, the vertex
-tensor, or the vertex tensor with its self-loops traced (an einsum
-subscript); for each merge, the nodes' positions in that order and what
+A plan is compiled when it is made: it holds, for each initial node in id
+order, whether it is an identity matrix, the vertex tensor, or the vertex
+tensor with its self-loops traced (an einsum subscript); for each merge,
+the (kept, merged) node ids, which are positions in that order, and what
 ``np.tensordot`` would work out on every call (each operand's axis
 permutation, free axes around the contracted ones, and the three axis
 counts); and the transpose that puts the last node's axes in leg order.
@@ -62,7 +62,8 @@ copies are numpy's own, made by reshape where it must copy.  Besides the
 compiled replay, a plan keeps only each initial node's axis bit mask and
 the sorted-edge index of each leg-to-leg edge: its `ContractionStep` list
 (``steps``) and ``peak_arity``, which nothing on the evaluation path
-reads, are derived from those and the merge pairs on first read, and kept.
+reads, are derived from those and the compiled merges' node ids on first
+read, and kept.
 A tangle keeps its plans: `plan_contraction` stores the plan made at each
 n in the tangle's instance dict, outside its equality, hash and repr.  A
 plan so lives exactly as long as its tangle, and nothing bounds or evicts
@@ -147,16 +148,15 @@ class _Compiled(NamedTuple):
 class ContractionPlan:
     """Ordered pairwise merges; every internal edge is contracted exactly once.
 
-    A plan holds what `execute_plan` replays (``compiled``) and what its
-    merges were compiled from: the (kept, merged) node id pairs, each
-    initial node's axis bit mask, and the sorted-edge index of each
-    leg-to-leg edge, whose identity nodes take the first ids.  ``steps``
-    and ``peak_arity`` are derived from these on first read and kept;
-    equality, hash and repr are those of the two.
+    A plan holds what `execute_plan` replays (``compiled``), whose merge
+    steps begin with the (kept, merged) node ids, and what its merges were
+    compiled from: each initial node's axis bit mask, and the sorted-edge
+    index of each leg-to-leg edge, whose identity nodes take the first ids.
+    ``steps`` and ``peak_arity`` are derived from these on first read and
+    kept; equality, hash and repr are those of the two.
     """
 
     compiled: _Compiled
-    _merges: tuple[tuple[int, int], ...]
     _masks: tuple[int, ...]
     _leg_edges: tuple[int, ...]
 
@@ -167,7 +167,7 @@ class ContractionPlan:
         keys += [("v", v) for v in range(self.compiled.num_vertices)]
         masks = list(self._masks)
         steps = []
-        for i, j in self._merges:
+        for i, j, *_ in self.compiled.steps:
             shared = masks[i] & masks[j]
             masks[i] ^= masks[j]
             steps.append(ContractionStep(keys[i], keys[j], tuple(_bits(shared)), masks[i].bit_count()))
@@ -447,7 +447,7 @@ def _compile(t: Tangle, nodes: _Nodes, merges: list[tuple[int, int]]) -> Contrac
         raise AssertionError(f"contraction left unexpected open axes {ids}")
     transpose = tuple(final.index(legs_at + l) for l in range(t.arity))
     compiled = _Compiled(t.num_vertices, t.arity, tuple(nodes.init), tuple(compiled_steps), transpose)
-    return ContractionPlan(compiled, tuple(merges), tuple(nodes.masks), tuple(nodes.leg_edges))
+    return ContractionPlan(compiled, tuple(nodes.masks), tuple(nodes.leg_edges))
 
 
 class _Pool:

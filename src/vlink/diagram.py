@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections.abc import Container
+from collections.abc import Container, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -298,7 +298,7 @@ def load_tangle(path: str) -> Tangle:
 def serialize_tangle(t: Tangle) -> str:
     """Serialize to ``.vld`` text; ``parse_tangle`` recovers an equal tangle."""
     edge_ids: dict[Endpoint, str] = {}
-    partner = partner_map(t)
+    partner = partner_map(t.edges)
 
     def name_for(ep: Endpoint) -> str:
         edge = min(ep, partner[ep])  # an edge is named by its lesser endpoint
@@ -326,10 +326,12 @@ def save_tangle(t: Tangle, path: str) -> None:
 # Structural helpers
 
 
-def partner_map(t: Tangle) -> dict[Endpoint, Endpoint]:
-    """Map each endpoint to the opposite endpoint of its edge."""
+def partner_map(edges: Iterable[tuple[Endpoint, Endpoint]]) -> dict[Endpoint, Endpoint]:
+    """Map each endpoint of ``edges``, a tangle's edge set, to the opposite
+    endpoint of its edge.  Every walk of a diagram in vlink reads this one
+    map: serialization, knot counting, the site scan and canonical keys."""
     partner: dict[Endpoint, Endpoint] = {}
-    for a, b in t.edges:
+    for a, b in edges:
         partner[a] = b
         partner[b] = a
     return partner
@@ -378,27 +380,23 @@ def _map_edges(
 def knot_components(g: Tangle) -> int:
     """Number of knots of a diagram.
 
-    Two edges belong to the same knot when some chain of vertices joins them
-    through opposite slots (0 with 2, 1 with 3); every vertexless loop is one
-    further knot.
+    Each knot is one walk over the partner map: along an edge, then through
+    its far vertex to the opposite slot (``s ^ 2``: 0 with 2, 1 with 3),
+    until the strand closes.  A walk takes its edges out of the map, so
+    each strand is walked once; every vertexless loop is one further knot.
     """
     if g.arity:
         raise ValueError("knot_components is defined for diagrams (arity 0) only")
-    # Union-find over endpoints: an edge joins its two ends, a vertex joins
-    # opposite slots; each class is one knot.
-    parent = {ep: ep for edge in g.edges for ep in edge}
-
-    def find(a: Endpoint) -> Endpoint:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    joins = list(g.edges)
-    joins += [((v, s), (v, s + 2)) for v in range(g.num_vertices) for s in (0, 1)]
-    for a, b in joins:
-        parent[find(a)] = find(b)
-    return len({find(a) for a in parent}) + g.loop_count
+    partner = partner_map(g.edges)
+    knots = g.loop_count
+    while partner:
+        start, (v, s) = partner.popitem()
+        del partner[(v, s)]
+        knots += 1
+        while (v, s ^ 2) != start:
+            v, s = partner.pop((v, s ^ 2))
+            del partner[(v, s)]
+    return knots
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +464,7 @@ def canonical_key(t: Tangle) -> bytes:
 def _canonical_key(
     num_vertices: int, arity: int, edges: frozenset[tuple[Endpoint, Endpoint]], loop_count: int
 ) -> bytes:
-    partner = dict(edges)
-    partner.update((b, a) for a, b in edges)
+    partner = partner_map(edges)
 
     def traverse(
         u: int, r: int, best: tuple[Endpoint, ...] = ()

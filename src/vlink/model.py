@@ -178,8 +178,10 @@ def random_orthogonal(n: int, rng: np.random.Generator, real: bool = False) -> n
 
     The complex orthogonal group is unbounded, and an ill-conditioned
     transform amplifies round-off in every contraction it touches, so
-    complex draws are rejected until |U|_F <= 3n.
+    complex draws are rejected until |U|_F <= 3n.  An ``n`` that is not an
+    integer of at least 1 is a ValueError naming it.
     """
+    n = _state_count(n)
     if real:
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
         return q * np.where(np.diag(r) >= 0, 1.0, -1.0)
@@ -380,8 +382,10 @@ def apply_orthogonal(model: VertexModel, u: np.ndarray) -> VertexModel:
     u = np.asarray(u, dtype=complex)
     if u.shape != (model.n, model.n):
         raise ValueError(f"U must be {model.n} x {model.n}")
+    if not np.isfinite(u).all():
+        raise ValueError("U must have finite entries")
     residual = float(np.linalg.norm(u.T @ u - np.eye(model.n)))
-    if residual > ORTHOGONALITY_TOL:
+    if not residual <= ORTHOGONALITY_TOL:
         raise ValueError(f"U^T U - I has Frobenius norm {residual:.3e} > {ORTHOGONALITY_TOL}")
     out = np.einsum("ai,bj,ck,dl,ijkl->abcd", u, u, u, u, model.entries, optimize=True)
     return symmetrize(out)

@@ -207,27 +207,20 @@ class MoveSite:
     anchor: tuple
 
 
-def _kink_rotation(edges: frozenset, v: int) -> int | None:
-    """Frame rotation putting a loop edge of v onto slots 1,2; None if no
-    R1-compatible loop.  Loops on slots 0,1 or 2,3 are the other chirality
-    and are not kink sites."""
-    if ((v, 1), (v, 2)) in edges:
-        return 0
-    if ((v, 0), (v, 3)) in edges:
-        return 2
-    return None
-
-
 def _vertex_anchors(g: Tangle) -> dict[str, list[tuple]]:
     """Anchors of the R1-, R2- and R3 sites of ``g`` from one pass over its
-    vertices and one partner map, each kind in the order of
-    `enumerate_move_sites`."""
-    partner = partner_map(g)
+    vertices that reads only its partner map, each kind in the order of
+    `enumerate_move_sites`.  Vertex u is an R1- site at rotation 0 if a
+    loop edge joins its slots 1 and 2, else at rotation 2 if one joins
+    slots 3 and 0; loops on slots 0,1 or 2,3 are the other chirality and
+    are not kink sites."""
+    partner = partner_map(g.edges)
     found: dict[str, list[tuple]] = {"R1-": [], "R2-": [], "R3": []}
     for u in range(g.num_vertices):
-        r = _kink_rotation(g.edges, u)
-        if r is not None:
-            found["R1-"].append((u, r))
+        if partner[(u, 1)] == (u, 2):
+            found["R1-"].append((u, 0))
+        elif partner[(u, 3)] == (u, 0):
+            found["R1-"].append((u, 2))
         for ru in (0, 2):
             x, sx = partner[(u, (2 + ru) % 4)]
             y, sy = partner[(u, (3 + ru) % 4)]

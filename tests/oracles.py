@@ -134,11 +134,19 @@ def _has_edge(t: Tangle, a, b) -> bool:
 
 
 def brute_move_sites(g: Tangle, kind: str) -> list[tuple]:
-    """R2- or R3 site anchors by scanning every vertex pair or triple and
-    every frame rotation, in the order the scan meets them."""
+    """R1-, R2- or R3 site anchors by scanning every vertex, vertex pair or
+    triple and every frame rotation, in the order the scan meets them.  A
+    kink vertex takes rotation 0 if a loop joins its slots 1 and 2, else
+    rotation 2 if one joins slots 3 and 0."""
     nv = g.num_vertices
     anchors = []
-    if kind == "R2-":
+    if kind == "R1-":
+        for v in range(nv):
+            if _has_edge(g, (v, 1), (v, 2)):
+                anchors.append((v, 0))
+            elif _has_edge(g, (v, 3), (v, 0)):
+                anchors.append((v, 2))
+    elif kind == "R2-":
         for u in range(nv):
             for w in range(nv):
                 if u == w:

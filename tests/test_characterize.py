@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -630,6 +631,19 @@ def test_fd_zero_for_vertexless():
     model = vl.random_model(2, np.random.default_rng(54))
     direction = vl.random_model(2, np.random.default_rng(55))
     assert vl.fd_check(model, vl.loop_diagram(2), direction) <= 1e-12
+
+
+def test_fd_check_refuses_a_step_it_cannot_use():
+    model = vl.random_model(2, np.random.default_rng(58))
+    direction = vl.random_model(2, np.random.default_rng(59))
+    g = vl.parse_tangle("x v1 a b c d\nx v2 c d a b")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (0, 0.0, -0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=re.escape(f"step h must be finite and nonzero, got {h!r}")):
+                vl.fd_check(model, g, direction, h=h)
+    # A central difference is symmetric: a negative step gives the same bits.
+    assert vl.fd_check(model, g, direction, h=-1e-3) == vl.fd_check(model, g, direction, h=1e-3)
 
 
 def test_fd_direction_must_match_n():

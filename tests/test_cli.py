@@ -181,6 +181,41 @@ def test_eval_qtl_large_term(workdir, capsys):
     assert out_qtl == out_vld
 
 
+def test_eval_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    # Under a complex n=2 and a real n=3 model: six seeded diagrams or
+    # tangles of each arity 0, 2 and 4, with 0-3 vertices and 0-2 loops,
+    # and two .qtl combinations of each arity, one with a repeated term.
+    # Diagrams print one record, tangles one per leg colouring; these
+    # digests pin every byte eval prints of them, in each format.
+    rng = np.random.default_rng(35)
+    models = ["complex.json", "real3.json"]
+    vl.save_model(vl.random_model(2, rng), str(tmp_path / models[0]))
+    vl.save_model(vl.random_model(3, rng, real=True), str(tmp_path / models[1]))
+    paths = []
+    for arity in (0, 2, 4):
+        names = [f"t{arity}-{i}.vld" for i in range(6)]
+        for name in names:
+            t = vl.random_tangle(rng, arity, int(rng.integers(4)), int(rng.integers(3)))
+            vl.save_tangle(t, str(tmp_path / name))
+        (tmp_path / f"c{arity}.qtl").write_text(f"term 1 0.5 {names[0]}\nterm -2 0 {names[1]}\n")
+        (tmp_path / f"r{arity}.qtl").write_text(
+            f"term 0.25 0 {names[2]}\nterm 0 -1 {names[3]}\nterm 0.5 0 {names[2]}\n"
+        )
+        paths += [*names, f"c{arity}.qtl", f"r{arity}.qtl"]
+    monkeypatch.chdir(tmp_path)  # the paths eval prints are the relative ones
+    for fmt, digest in (
+        ("text", "1d2f133d3c01cb6a13a19257e6990183dc60a86d1055b6553ac10e27ca350a41"),
+        ("csv", "e3d56dffd7ee7c16e183f9c5272b88928074fcff7d1107cd335a2b982c94f22b"),
+        ("json-lines", "8211b9d24252eaaca966fbcf68b81cc5beeac8b64062b6e189bb4a3a2846226c"),
+    ):
+        out = ""
+        for model in models:
+            code, text, err = run(capsys, "eval", "--format", fmt, "--model", model, *paths)
+            assert (code, err) == (0, ""), fmt
+            out += text
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_eval_values_that_overflow_are_input_errors(workdir, capsys):
     # huge.qtl's coefficient is kept, though abs() of it overflows a float.
     (workdir / "huge.qtl").write_text("term 1.7e308 1.7e308 two_knots.vld\n")
@@ -901,9 +936,18 @@ def test_loop_factor_overflow_is_input_error(workdir, capsys):
     loops = workdir / "loops.vld"
     loops.write_text("loops 1100\n")
     model = workdir / "real.json"
-    message = "vlink: error: n^loops overflows a float: n = 2, 1100 vertexless loops\n"
+    message = f"vlink: error: {loops}: n^loops overflows a float: n = 2, 1100 vertexless loops\n"
     for argv in (["eval", "--model", model, loops], ["moves", "--model", model, "test", loops]):
         assert run(capsys, *argv) == (1, "", message)
+
+
+def test_eval_mixed_arities_names_the_manifest(workdir, capsys):
+    # The manifest loads, and its evaluation fails: the error names it once.
+    manifest = workdir / "mix.qtl"
+    manifest.write_text("term 1 0 loop.vld\nterm 1 0 open.vld\n")
+    code, out, err = run(capsys, "eval", "--model", workdir / "knots.json", workdir / "loop.vld", manifest)
+    message = f"vlink: error: {manifest}: mixed arities in combination: [0, 2]\n"
+    assert (code, out, err) == (1, "2 0\n", message)
 
 
 def test_moves_diagram_without_move_sites_is_input_error(workdir, capsys):

@@ -259,7 +259,12 @@ def test_knot_components_refuses_a_tangle_with_legs():
 
 
 def test_knot_components_matches_dfs_oracle(corpus):
-    for g in corpus:
+    rng = np.random.default_rng(35)
+    drawn = [
+        vl.random_tangle(rng, 0, int(rng.integers(31)), int(rng.integers(3)))
+        for _ in range(200)
+    ]
+    for g in [*corpus, *drawn]:
         assert vl.knot_components(g) == dfs_knot_components(g)
 
 

@@ -181,6 +181,23 @@ def test_apply_orthogonal_rejects_non_orthogonal():
         vl.apply_orthogonal(model, 2.0 * np.eye(2))
     with pytest.raises(ValueError, match="2 x 2"):
         vl.apply_orthogonal(model, np.eye(3))
+    # A NaN residual would pass `residual > tol`, and an infinite U would
+    # reach numpy's matmul: such a U is refused by name before any product.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+            u = np.eye(2, dtype=complex)
+            u[0, 1] = bad
+            with pytest.raises(ValueError, match="^U must have finite entries$"):
+                vl.apply_orthogonal(model, u)
+
+
+def test_random_orthogonal_refuses_a_state_count_below_one():
+    rng = np.random.default_rng(0)
+    for n in (0, -1):
+        for real in (False, True):
+            with pytest.raises(ValueError, match=re.escape(f"state count n must be an integer >= 1, got {n}")):
+                vl.random_orthogonal(n, rng, real=real)
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def test_site_lists_are_functions_of_the_class(kind):
 
 
 def test_sites_match_brute_scan():
-    seen = {"R2-": 0, "R3": 0}
+    seen = {"R1-": 0, "R2-": 0, "R3": 0}
     for g in _chain_diagrams():
         for kind in seen:
             sites = vl.enumerate_move_sites(g, kind)
