@@ -456,15 +456,23 @@ def fd_check(
     direction tensor gives the exact directional derivative, so the return
     value is the finite-difference error (zero up to O(h^2) terms, exactly
     zero for diagrams with fewer than three vertices).  A step ``h`` that is
-    zero or not finite is a ValueError; a negative one serves as well as
-    its absolute value.
+    zero or not finite is a ValueError, as is one too small to move the
+    model along a nonzero direction; a negative one serves as well as its
+    absolute value.  An error that is not finite (the evaluation overflowed)
+    is a ValueError too.
     """
     if not (h and math.isfinite(h)):
         raise ValueError(f"step h must be finite and nonzero, got {h!r}")
-    f_plus = partition_function(model.perturbed(direction, +h), g)
-    f_minus = partition_function(model.perturbed(direction, -h), g)
-    central = (f_plus - f_minus) / (2.0 * h)
+    plus, minus = model.perturbed(direction, +h), model.perturbed(direction, -h)
+    if np.array_equal(plus.entries, minus.entries) and direction.entries.any():
+        raise ValueError(f"step h = {h!r} does not move the model: R + hS equals R - hS")
+    central = (partition_function(plus, g) - partition_function(minus, g)) / (2.0 * h)
     # An empty derivative evaluates to the 0-d zero, which pairs to 0
     # against the 4-leg direction tensor.
     paired = pair(qt_evaluate(model, tangle_derivative(g)), direction.entries)
-    return abs(central - paired)
+    error = abs(central - paired)
+    if not math.isfinite(error):
+        raise ValueError(
+            f"the finite-difference error at step h = {h!r} is not finite (the evaluation overflowed)"
+        )
+    return error

@@ -258,8 +258,7 @@ def _decode_model(text: str, project: bool) -> VertexModel:
         items = list(doc.get("entries", []))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed model file ({exc})") from exc
-    if n < 1:
-        raise ValueError("state count n must be >= 1")
+    n = _state_count(n)
     entries = np.zeros((n,) * 4, dtype=complex)
     for pos, item in enumerate(items):
         try:
@@ -384,7 +383,9 @@ def apply_orthogonal(model: VertexModel, u: np.ndarray) -> VertexModel:
         raise ValueError(f"U must be {model.n} x {model.n}")
     if not np.isfinite(u).all():
         raise ValueError("U must have finite entries")
-    residual = float(np.linalg.norm(u.T @ u - np.eye(model.n)))
+    # A finite U may still overflow U^T U; the check below refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(u.T @ u - np.eye(model.n)))
     if not residual <= ORTHOGONALITY_TOL:
         raise ValueError(f"U^T U - I has Frobenius norm {residual:.3e} > {ORTHOGONALITY_TOL}")
     out = np.einsum("ai,bj,ck,dl,ijkl->abcd", u, u, u, u, model.entries, optimize=True)

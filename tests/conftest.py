@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -66,3 +68,17 @@ def announce(capsys):
         assert ok, line
 
     return _announce
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """``child_env(**extra)``: a child process's environment, the current
+    one plus ``extra``.  The child imports the vlink this suite imports,
+    installed or not, under the benchmark's BLAS threading."""
+    src = os.path.dirname(os.path.dirname(vl.__file__))
+
+    def _child_env(**extra: str) -> dict[str, str]:
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        return {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", **extra}
+
+    return _child_env

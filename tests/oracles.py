@@ -303,7 +303,7 @@ def reference_load_model(path: str, project: bool = False) -> VertexModel:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from exc
     if n < 1:
-        raise ValueError(f"{path}: state count n must be >= 1")
+        raise ValueError(f"{path}: state count n must be an integer >= 1, got {n!r}")
     entries = np.zeros((n,) * 4, dtype=complex)
     for pos, item in enumerate(items):
         try:

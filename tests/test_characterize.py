@@ -1,7 +1,6 @@
 import gc
 import itertools
 import math
-import os
 import re
 import subprocess
 import sys
@@ -593,14 +592,12 @@ except MemoryError:
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
-def test_gram_that_cannot_be_allocated_fails_before_any_row():
-    src = os.path.dirname(os.path.dirname(vl.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+def test_gram_that_cannot_be_allocated_fails_before_any_row(child_env):
     proc = subprocess.run(
         [sys.executable, "-c", _CAPPED_GRAM],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        env=child_env(),
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "1470 0 0\n"
@@ -644,6 +641,18 @@ def test_fd_check_refuses_a_step_it_cannot_use():
                 vl.fd_check(model, g, direction, h=h)
     # A central difference is symmetric: a negative step gives the same bits.
     assert vl.fd_check(model, g, direction, h=-1e-3) == vl.fd_check(model, g, direction, h=1e-3)
+    # A step so small that R + hS equals R - hS bit for bit would read as a
+    # failing derivative tangle, and one so large that the evaluation
+    # overflows would return NaN: both are refused, naming h.
+    model = vl.random_model(2, np.random.default_rng(1))
+    ring = vl.parse_tangle("x v1 a b c d\nx v2 c e f a\nx v3 f d b e")
+    for h in (1e-30, 1e-300):
+        with pytest.raises(ValueError, match=re.escape(f"step h = {h!r} does not move the model")):
+            vl.fd_check(model, ring, model, h=h)
+    for h in (1e150, 1e300):
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=re.escape(f"at step h = {h!r} is not finite")):
+                vl.fd_check(model, ring, model, h=h)
 
 
 def test_fd_direction_must_match_n():

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 import warnings
@@ -133,6 +132,9 @@ def test_eval_qtl(workdir, capsys):
     )
     assert code == 0
     assert out == "4 0\n"
+    # Two terms that cancel are pruned: the empty combination evaluates to 0.
+    manifest.write_text("term 1 0 loop.vld\nterm -1 0 loop.vld\n")
+    assert run(capsys, "eval", "--model", workdir / "transmission.json", manifest) == (0, "0 0\n", "")
 
 
 def test_eval_qtl_of_tangles_prints_one_record_per_leg_colouring(workdir, capsys):
@@ -366,7 +368,7 @@ def test_moves_empty_or_negative_count_is_input_error(workdir, capsys, count):
     assert err == f"vlink: error: count must be at least 1, got {count}\n"
 
 
-def test_moves_does_not_depend_on_hash_seed(tmp_path, corpus):
+def test_moves_does_not_depend_on_hash_seed(tmp_path, corpus, child_env):
     # A model failing the move conditions makes the printed delta depend on
     # which sites the seeded draws land on.
     vl.save_model(vl.random_model(2, np.random.default_rng(1), real=True), str(tmp_path / "m.json"))
@@ -380,7 +382,7 @@ def test_moves_does_not_depend_on_hash_seed(tmp_path, corpus):
         proc = subprocess.run(
             [sys.executable, "-m", "vlink.cli", *map(str, argv)],
             capture_output=True,
-            env={**_child_env(), "PYTHONHASHSEED": hash_seed},
+            env=child_env(PYTHONHASHSEED=hash_seed),
         )
         runs.add((proc.returncode, proc.stdout))
     assert len(runs) == 1
@@ -712,13 +714,13 @@ def test_enumerate_output_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
-def test_enumerate_does_not_depend_on_hash_seed():
+def test_enumerate_does_not_depend_on_hash_seed(child_env):
     outputs = set()
     for hash_seed in ("0", "1"):
         proc = subprocess.run(
             [sys.executable, "-m", "vlink.cli", "enumerate", "--k", "2", "--max-vertices", "2"],
             capture_output=True,
-            env={**_child_env(), "PYTHONHASHSEED": hash_seed},
+            env=child_env(PYTHONHASHSEED=hash_seed),
             check=True,
         )
         outputs.add(proc.stdout)
@@ -789,26 +791,18 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "eval", "--help")[0] == 0
 
 
-def _child_env() -> dict[str, str]:
-    """Environment for a child process that imports the same vlink as this
-    one, installed or not."""
-    src = os.path.dirname(os.path.dirname(vl.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
-
-
-def test_console_script_installed():
+def test_console_script_installed(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "vlink.cli", "--help"],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "vlink" in proc.stdout
 
 
-def test_parser_reuse_matches_fresh_processes(workdir, capsys, monkeypatch):
+def test_parser_reuse_matches_fresh_processes(workdir, capsys, monkeypatch, child_env):
     # One in-process sequence, each call against a fresh `vlink` process.
     # The help width is read when help is printed, not when the parser is
     # built, so a width set now holds even if the parser already exists.
@@ -835,7 +829,7 @@ def test_parser_reuse_matches_fresh_processes(workdir, capsys, monkeypatch):
             [sys.executable, "-m", "vlink.cli", *argv],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
         )
         assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
         codes.append(in_process[0])
@@ -868,7 +862,7 @@ sys.exit(main(sys.argv[1:]))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
-def test_eval_out_of_memory_is_an_error(tmp_path):
+def test_eval_out_of_memory_is_an_error(tmp_path, child_env):
     # At n=4 this plan's widest intermediate holds 4^14 complex entries (4 GiB).
     t = vl.random_tangle(np.random.default_rng(0), 0, 40)
     assert plan_contraction(t, 1).peak_arity == 14
@@ -881,7 +875,7 @@ def test_eval_out_of_memory_is_an_error(tmp_path):
          str(tmp_path / "n4.json"), str(tmp_path / "big.vld")],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -890,7 +884,7 @@ def test_eval_out_of_memory_is_an_error(tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc and RLIMIT_AS")
-def test_model_tensor_out_of_memory_names_the_file(workdir):
+def test_model_tensor_out_of_memory_names_the_file(workdir, child_env):
     # 300**4 complex entries (121 GiB) are a shape numpy accepts, but no
     # allocation the child may make.
     path = workdir / "big.json"
@@ -900,7 +894,7 @@ def test_model_tensor_out_of_memory_names_the_file(workdir):
          str(workdir / "loop.vld")],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -916,14 +910,14 @@ def test_model_too_large_to_allocate_names_the_file(workdir, capsys):
     assert err.startswith(f"vlink: error: {path}: Unable to allocate ")
 
 
-def test_output_into_a_closed_pipe_exits_quietly():
+def test_output_into_a_closed_pipe_exits_quietly(child_env):
     # The listing (about 100 KB) outgrows a pipe's buffer, so the child is
     # still writing when its reader goes.
     proc = subprocess.Popen(
         [sys.executable, "-m", "vlink.cli", "enumerate", "--k", "4", "--max-vertices", "2"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=_child_env(),
+        env=child_env(),
     )
     assert proc.stdout.readline()
     proc.stdout.close()
@@ -980,7 +974,7 @@ def test_undecodable_diagram_files_name_the_file(workdir, capsys):
     assert info.value.source == str(workdir / "bad.vld")
 
 
-def test_import_does_not_load_hashlib(workdir):
+def test_import_does_not_load_hashlib(workdir, child_env):
     # hashlib costs milliseconds to import: neither start-up nor a one-shot
     # `vlink eval`, whose model cache is keyed by the file text, imports it.
     script = (
@@ -993,7 +987,7 @@ def test_import_does_not_load_hashlib(workdir):
         [sys.executable, "-c", script, str(workdir / "knots.json"), str(workdir / "loop.vld")],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
         check=True,
     )
     assert proc.stdout == "False\n2 0\n0 False\n"

@@ -1,6 +1,5 @@
 import concurrent.futures
 import gc
-import os
 import re
 import subprocess
 import sys
@@ -249,15 +248,14 @@ print(digest.hexdigest())
 _PLAN_DIGEST_PINNED = "23fe882617029ad3664a697006f754e5a757a099bbd6125efa90227266edba5b\n"
 
 
-def test_plans_do_not_depend_on_hash_seed():
-    path = os.pathsep.join(sys.path)  # the child imports this vlink
+def test_plans_do_not_depend_on_hash_seed(child_env):
     digests = set()
     for hash_seed in ("0", "1"):
         proc = subprocess.run(
             [sys.executable, "-c", _PLAN_DIGEST],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            env=child_env(PYTHONHASHSEED=hash_seed),
             check=True,
         )
         digests.add(proc.stdout)
@@ -386,15 +384,14 @@ print(changed, digest.hexdigest())
 _SEARCH_DIGEST_PINNED = "9 d4c34bfc15ebea022f5c14ba2e6b1369489c4212ba1190c5883abc40563161c7\n"
 
 
-def test_searched_plans_do_not_depend_on_hash_seed():
-    path = os.pathsep.join(sys.path)  # the child imports this vlink
+def test_searched_plans_do_not_depend_on_hash_seed(child_env):
     outputs = set()
     for hash_seed in ("0", "1"):
         proc = subprocess.run(
             [sys.executable, "-c", _SEARCH_DIGEST],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            env=child_env(PYTHONHASHSEED=hash_seed),
             check=True,
         )
         outputs.add(proc.stdout)

@@ -180,6 +180,7 @@ def test_parse_empty_text_is_empty_diagram():
         ("x v1 a b c d\nx v2 a b c d\nleg 1 e", "occurs 1 time"),
         ("x v1 a b c d\nx v2 a b c d\nleg 1 c\nleg 3 d", "not contiguous"),
         ("x v1 a b a b\nleg 10000000 c\nleg 1 c", r"missing \[2\]\)$"),
+        ("x v1 a b a b\nleg 1000000000 c\nleg 1 c", r"missing \[2\]\)$"),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -190,6 +190,10 @@ def test_apply_orthogonal_rejects_non_orthogonal():
             u[0, 1] = bad
             with pytest.raises(ValueError, match="^U must have finite entries$"):
                 vl.apply_orthogonal(model, u)
+        # A finite U whose U^T U overflows is refused by the residual check,
+        # with no numpy warning first.
+        with pytest.raises(ValueError, match="Frobenius"):
+            vl.apply_orthogonal(model, 1e200 * np.eye(2))
 
 
 def test_random_orthogonal_refuses_a_state_count_below_one():
@@ -557,6 +561,8 @@ _ONE = {"i": 1, "j": 1, "k": 1, "l": 1}
         ),
         ({"n": float("nan")}, "malformed model file (cannot convert float NaN to integer)"),
         ({"n": "two"}, "malformed model file (invalid literal for int() with base 10: 'two')"),
+        ({"n": 0}, "state count n must be an integer >= 1, got 0"),
+        ({"n": -2}, "state count n must be an integer >= 1, got -2"),
     ],
 )
 def test_load_model_rejects_non_integral_and_unconvertible_values(tmp_path, capsys, doc, message):
